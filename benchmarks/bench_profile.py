@@ -135,51 +135,6 @@ def test_profile_report_queries(graph_db):
     print("\n" + "\n".join(lines))
 
 
-def test_profile_compiled_speedup_star4(graph_db):
-    """Compiled kernel tier: star4 lattice profile, compiled vs numpy.
-
-    The compiled backend replaces the columnar engine's factorization, join
-    expansion and group-by inner loops with fused numba kernels; on the
-    star4 lattice over the 300-node collaboration graph it must profile
-    **≥2× faster** than the numpy backend with a bit-identical profile.
-    Needs real JIT compilation: skipped (with the concrete reason) when
-    numba is absent, and in forced-interpreted mode, where the kernels run
-    as plain Python loops and the ratio is meaningless.
-    """
-    from repro.engine import kernels
-
-    if kernels.kernel_mode() != "jit":
-        reason = kernels.unavailable_reason() or "kernels forced interpreted"
-        pytest.skip(f"compiled speed gate needs JIT kernels: {reason}")
-    kernels.warm_up()  # JIT compilation must not land in the timed region
-
-    query = k_star_query(4)
-    start = time.perf_counter()
-    numpy_profile = ResidualSensitivity(query, beta=0.1, backend="numpy").profile(
-        graph_db
-    )
-    numpy_time = time.perf_counter() - start
-    # numpy runs first, so compiled inherits the warm factorization caches
-    # and the measured ratio conservatively isolates the kernels.
-    start = time.perf_counter()
-    compiled_profile = ResidualSensitivity(
-        query, beta=0.1, backend="compiled"
-    ).profile(graph_db)
-    compiled_time = time.perf_counter() - start
-
-    assert set(compiled_profile.results) == set(numpy_profile.results)
-    for kept, reference in numpy_profile.results.items():
-        result = compiled_profile.results[kept]
-        assert (result.value, result.exact) == (reference.value, reference.exact)
-
-    speedup = numpy_time / compiled_time
-    print(
-        f"\nstar4 compiled kernels: numpy {numpy_time * 1e3:.0f} ms, "
-        f"compiled {compiled_time * 1e3:.0f} ms, speedup {speedup:.1f}x"
-    )
-    trend_gate("profile", "compiled_speedup", speedup, floor=2.0)
-
-
 #: Concurrent profile evaluations in the process-speedup comparison (the
 #: serving layer's shape: several /count requests profiling at once).
 CONCURRENT_PROFILES = 4

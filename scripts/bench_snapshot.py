@@ -62,29 +62,12 @@ def snapshot_backend() -> dict:
     """Large-join counting: python vs numpy backend (cold + warm)."""
     import bench_backend as bb
 
-    from repro.engine import kernels
-
     db = bb._large_join_db()
     python_time, python_count = bb._timed_count("python", db)
     numpy_cold_time, numpy_count = bb._timed_count("numpy", db)
     assert numpy_count == python_count
     warm = min(bb._timed_count("numpy", db)[0] for _ in range(3))
-
-    # The compiled kernel tier: status always recorded; the join timing only
-    # with real JIT kernels (interpreted mode would just benchmark CPython).
-    kernel_block: dict = {"status": kernels.kernel_status()}
-    if kernels.kernel_mode() == "jit":
-        kernels.warm_up()
-        compiled_time, compiled_count = bb._timed_count("compiled", db)
-        assert compiled_count == python_count
-        compiled_warm = min(bb._timed_count("compiled", db)[0] for _ in range(3))
-        kernel_block["results"] = {
-            "compiled_cold_seconds": round(compiled_time, 6),
-            "compiled_warm_seconds": round(compiled_warm, 6),
-            "compiled_vs_numpy_warm": round(warm / compiled_warm, 2),
-        }
     return {
-        "kernels": kernel_block,
         "workload": {
             "query": "R(x, y), S(y, z)",
             "tuples_per_relation": bb.TUPLES,
@@ -178,28 +161,6 @@ def snapshot_profile() -> dict:
         query, graph_db, subsets, "process"
     )
     shutdown_process_pool()
-
-    # Compiled-kernel star4 profile vs numpy — the trend baseline for
-    # bench_profile.test_profile_compiled_speedup_star4.  JIT mode only:
-    # without numba the metric is absent and the trend gate falls back to
-    # its fixed 2x floor.
-    from repro.engine import kernels
-
-    compiled_results: dict = {}
-    if kernels.kernel_mode() == "jit":
-        kernels.warm_up()
-        start = time.perf_counter()
-        compiled_profile = ResidualSensitivity(
-            k_star_query(4), beta=0.1, backend="compiled"
-        ).profile(graph_db)
-        compiled_time = time.perf_counter() - start
-        for kept, reference in shared.results.items():
-            result = compiled_profile.results[kept]
-            assert (result.value, result.exact) == (reference.value, reference.exact)
-        compiled_results = {
-            "compiled_seconds": round(compiled_time, 6),
-            "compiled_speedup": round(shared_time / compiled_time, 2),
-        }
     return {
         "workload": {
             "query": "star4",
@@ -221,7 +182,6 @@ def snapshot_profile() -> dict:
             "component_dedup_hits": stats.component_hits,
             "factorization_hits": stats.factorization_hits,
             "factorization_misses": stats.factorization_misses,
-            **compiled_results,
         },
     }
 

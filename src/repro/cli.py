@@ -61,17 +61,11 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
     and batch level.  Every failure prints a self-contained replay
     snippet; exit code 1 means mismatches were found.
 
-``backends``
-    List the registered execution backends with availability, version and
-    JIT warm-up status (``--json`` for the machine-readable block, the same
-    one ``GET /stats`` serves under ``backends``).
-
 ``count`` and ``sensitivity`` accept ``--json`` to emit machine-readable
 output instead of the human-readable text.  ``count``, ``sensitivity``,
-``serve`` and ``batch`` accept ``--backend {python,numpy,compiled,auto}``
-to pick the execution backend (see ``docs/backends.md``; ``compiled``
-needs the optional numba extra, ``auto`` falls back to ``numpy`` without
-it); every output reports which backend ran.  The same four commands accept ``--parallelism N`` to fan
+``serve`` and ``batch`` accept ``--backend {python,numpy}`` to pick the
+execution backend (see ``docs/backends.md``); every output reports which
+backend ran.  The same four commands accept ``--parallelism N`` to fan
 residual-sensitivity component evaluations out over a worker pool and
 ``--parallelism-mode {thread,process,auto}`` to choose *which* pool — the
 default in-process threads or the shared GIL-free process pool for large
@@ -100,13 +94,7 @@ from typing import Sequence
 
 from repro.data.database import Database
 from repro.datasets.snap_surrogates import available_datasets, surrogate_database
-from repro.engine.backend import (
-    available_backends,
-    backend_inventory,
-    default_backend_name,
-    get_backend,
-    resolve_auto_backend,
-)
+from repro.engine.backend import available_backends, get_backend
 from repro.exceptions import ReproError
 from repro.experiments.example3 import format_example3, run_example3
 from repro.experiments.figure3 import Figure3Config, format_figure3, run_figure3
@@ -147,11 +135,9 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=available_backends() + ["auto"],
+        choices=available_backends(),
         help="execution backend (default: python, or $REPRO_BACKEND); "
-        "'auto' picks the fastest available tier (compiled when its JIT "
-        "kernels can run, else numpy); backends produce identical results "
-        "and differ only in speed",
+        "backends produce identical results and differ only in speed",
     )
 
 
@@ -338,20 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--json", action="store_true", help="print the parsed metric families as JSON"
-    )
-
-    backends = subparsers.add_parser(
-        "backends",
-        help="list execution backends: availability, version, warm-up status",
-    )
-    backends.add_argument(
-        "--json", action="store_true", help="emit JSON instead of text"
-    )
-    backends.add_argument(
-        "--warm-up",
-        action="store_true",
-        help="run the compiled tier's JIT warm-up first (a no-op when it is "
-        "unavailable) so the reported warm-up status/time reflects this host",
     )
 
     mutate = subparsers.add_parser(
@@ -549,9 +521,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "mutate":
         return _run_mutate(args)
-
-    if args.command == "backends":
-        return _run_backends(args)
 
     if args.command == "metrics":
         return _run_metrics(args)
@@ -806,40 +775,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_backends(args: argparse.Namespace) -> int:
-    """List the execution backends with availability/version/warm-up detail."""
-    if args.warm_up:
-        from repro.engine import kernels
-
-        kernels.warm_up()
-    report = {
-        "default": default_backend_name(),
-        "auto": resolve_auto_backend(),
-        "backends": backend_inventory(),
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(f"default backend : {report['default']}")
-    print(f"auto resolves to: {report['auto']}")
-    print()
-    for entry in report["backends"]:
-        status = "available" if entry["available"] else "unavailable"
-        line = f"{entry['name']:<10} {status:<12}"
-        if entry.get("version"):
-            line += f" version {entry['version']}"
-        if entry.get("mode"):
-            line += f"  mode={entry['mode']}"
-        if "warm" in entry:
-            line += f"  warm={'yes' if entry['warm'] else 'no'}"
-            if entry.get("warm_up_seconds") is not None:
-                line += f" ({entry['warm_up_seconds'] * 1e3:.0f} ms)"
-        if entry.get("reason"):
-            line += f"  ({entry['reason']})"
-        print(line)
-    return 0
-
-
 def _run_metrics(args: argparse.Namespace) -> int:
     from urllib.error import URLError
     from urllib.request import urlopen
@@ -1073,8 +1008,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         f"{report.oracle_ls_cases} exhaustive-LS cases, "
         f"{len(report.failures)} failure(s)"
     )
-    for check, notice in sorted(report.skipped.items()):
-        print(f"fuzz notice: check {check!r} {notice}")
     if calibration is not None:
         for check in calibration.checks:
             status = "ok" if check.passed else "FAIL"

@@ -12,11 +12,10 @@ It provides two complementary strategies:
   the first joined factor that contains all of its variables.
 
 Both are wrapped by the pluggable execution backends of
-:mod:`repro.engine.backend`: the dict-based ``"python"`` backend, the
-vectorized columnar ``"numpy"`` backend (:mod:`repro.engine.columnar`), and
-the optional JIT-compiled ``"compiled"`` backend
-(:mod:`repro.engine.kernels`, requires numba), all of which produce
-identical results and differ only in speed.  See ``docs/backends.md``.
+:mod:`repro.engine.backend`: the dict-based ``"python"`` backend and the
+vectorized columnar ``"numpy"`` backend (:mod:`repro.engine.columnar`),
+which produce identical results and differ only in speed.  See
+``docs/backends.md``.
 
 On top of these, :mod:`repro.engine.aggregates` computes the boundary
 multiplicities ``T_E(I)`` of residual queries (the building block of residual
@@ -33,16 +32,13 @@ for the serving layer's plan and sensitivity caches.
 from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
 from repro.engine.agm import AGMBound, fractional_edge_cover
 from repro.engine.backend import (
-    CompiledBackend,
     ExecutionBackend,
     NumpyBackend,
     PythonBackend,
     available_backends,
-    backend_inventory,
     default_backend_name,
     get_backend,
     register_backend,
-    resolve_auto_backend,
 )
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query, evaluate_query
@@ -51,7 +47,6 @@ from repro.engine.profile import LatticeProfile, ProfileStats, evaluate_profile
 
 __all__ = [
     "AGMBound",
-    "CompiledBackend",
     "ExecutionBackend",
     "LatticeProfile",
     "MultiplicityResult",
@@ -59,7 +54,6 @@ __all__ = [
     "ProfileStats",
     "PythonBackend",
     "available_backends",
-    "backend_inventory",
     "boundary_multiplicity",
     "canonical_query_key",
     "count_assignments",
@@ -72,5 +66,4 @@ __all__ = [
     "group_counts",
     "iterate_assignments",
     "register_backend",
-    "resolve_auto_backend",
 ]

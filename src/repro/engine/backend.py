@@ -13,18 +13,10 @@ residual-query group counts behind ``T_E(I)`` — is served by an
   are factorized ``searchsorted`` merges, and group-by aggregation is
   vectorized.  Produces results identical to the Python backend on every
   query the library supports.
-* :class:`CompiledBackend` (``"compiled"``) — the columnar engine with its
-  inner loops (factorization, join expansion, group-by accumulation) routed
-  through the JIT-compiled fused kernels of :mod:`repro.engine.kernels`.
-  Requires the optional ``numba`` dependency (``pip install .[compiled]``);
-  registers as *unavailable* — with :func:`get_backend` raising a clear
-  error — when numba is missing or ``REPRO_NO_COMPILED=1`` is set.
 
-Backends are resolved by name through :func:`get_backend`; the pseudo-name
-``"auto"`` resolves to the fastest available tier (``"compiled"`` when its
-kernels can run, else ``"numpy"``).  The process-wide default is
-``"python"`` unless overridden by the ``REPRO_BACKEND`` environment
-variable (which is how the CI matrix runs the whole test suite
+Backends are resolved by name through :func:`get_backend`; the process-wide
+default is ``"python"`` unless overridden by the ``REPRO_BACKEND``
+environment variable (which is how the CI matrix runs the whole test suite
 under each backend).  Higher layers thread a backend choice through
 :func:`repro.engine.evaluation.count_query`,
 :func:`repro.engine.aggregates.boundary_multiplicity`,
@@ -53,24 +45,17 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.predicates import Predicate
 
 __all__ = [
-    "AUTO_BACKEND",
-    "CompiledBackend",
     "ExecutionBackend",
     "PythonBackend",
     "NumpyBackend",
     "available_backends",
-    "backend_inventory",
     "default_backend_name",
     "get_backend",
     "register_backend",
-    "resolve_auto_backend",
 ]
 
 #: Environment variable overriding the process-wide default backend.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Pseudo-name resolving to the fastest available backend tier.
-AUTO_BACKEND = "auto"
 
 
 class ExecutionBackend(abc.ABC):
@@ -140,43 +125,6 @@ class ExecutionBackend(abc.ABC):
             max_intermediate=max_intermediate,
         )
 
-    def availability(self) -> tuple[bool, str | None]:
-        """``(available, reason)``: whether the backend can serve right now,
-        and — when it cannot — a human-readable reason.  Backends with
-        optional dependencies override this; the default is always-on."""
-        return True, None
-
-    def is_available(self) -> bool:
-        """Whether the backend can serve right now."""
-        return self.availability()[0]
-
-    def version(self) -> str | None:
-        """The version of the backend's underlying engine, if meaningful."""
-        return None
-
-    def ensure_ready(self) -> None:
-        """One-off per-process warm-up (JIT compilation, cache priming).
-
-        Called at service-side database registration, CLI ``serve`` startup
-        and once per process-pool worker, so expensive first-call work never
-        lands on a serving request.  Must be cheap and idempotent after the
-        first call.  The default is a no-op.
-        """
-
-    def describe(self) -> dict:
-        """A JSON-serialisable summary — name, class, availability and
-        version — for ``/stats``, the ``backends`` CLI and diagnostics."""
-        available, reason = self.availability()
-        info: dict = {
-            "name": self.name,
-            "class": type(self).__name__,
-            "available": available,
-            "version": self.version(),
-        }
-        if reason:
-            info["reason"] = reason
-        return info
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -185,11 +133,6 @@ class PythonBackend(ExecutionBackend):
     """The original dict-based evaluation engines."""
 
     name = "python"
-
-    def version(self) -> str | None:
-        import platform
-
-        return platform.python_version()
 
     def eliminate_group_counts(
         self,
@@ -214,11 +157,6 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
-    def version(self) -> str | None:
-        import numpy
-
-        return numpy.__version__
-
     def eliminate_group_counts(
         self,
         query: ConjunctiveQuery,
@@ -237,71 +175,6 @@ class NumpyBackend(ExecutionBackend):
         )
 
 
-class CompiledBackend(ExecutionBackend):
-    """Columnar evaluation with JIT-compiled fused inner-loop kernels.
-
-    Identical algorithm, elimination order and dropped-predicate semantics
-    to :class:`NumpyBackend` — the only difference is that factorization,
-    sorted-key join expansion and group-by accumulation run through the
-    fused kernels of :mod:`repro.engine.kernels` (installed context-locally
-    around each elimination, so concurrent evaluations on other threads are
-    unaffected).  Results are bit-identical to the ``numpy`` backend.
-    """
-
-    name = "compiled"
-
-    def availability(self) -> tuple[bool, str | None]:
-        from repro.engine import kernels
-
-        if kernels.kernels_available():
-            return True, None
-        return False, kernels.unavailable_reason()
-
-    def version(self) -> str | None:
-        from repro.engine import kernels
-
-        return kernels.kernel_version()
-
-    def ensure_ready(self) -> None:
-        from repro.engine import kernels
-
-        if kernels.kernels_available():
-            kernels.warm_up()
-
-    def describe(self) -> dict:
-        from repro.engine import kernels
-
-        info = super().describe()
-        status = kernels.kernel_status()
-        info["mode"] = status["mode"]
-        info["warm"] = status["warm"]
-        info["warm_up_seconds"] = status["warm_up_seconds"]
-        info["requirement"] = status["requirement"]
-        return info
-
-    def eliminate_group_counts(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        group_variables: Sequence[Variable],
-        *,
-        atom_indices: Sequence[int] | None = None,
-        predicates: Sequence[Predicate] | None = None,
-    ) -> EliminationResult:
-        from repro.engine import kernels as kernels_mod
-        from repro.engine.columnar import use_kernels
-
-        kernels = kernels_mod.get_kernels()
-        with use_kernels(kernels):
-            return eliminate_group_counts_columnar(
-                query,
-                database,
-                group_variables,
-                atom_indices=atom_indices,
-                predicates=predicates,
-            )
-
-
 _BACKENDS: dict[str, ExecutionBackend] = {}
 
 
@@ -309,11 +182,6 @@ def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> Non
     """Add ``backend`` to the registry under ``backend.name``."""
     if not backend.name or backend.name == "abstract":
         raise EvaluationError("execution backends must define a concrete name")
-    if backend.name == AUTO_BACKEND:
-        raise EvaluationError(
-            f"the backend name {AUTO_BACKEND!r} is reserved for automatic "
-            "tier selection"
-        )
     if backend.name in _BACKENDS and not replace:
         raise EvaluationError(
             f"execution backend {backend.name!r} is already registered "
@@ -324,88 +192,39 @@ def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> Non
 
 register_backend(PythonBackend())
 register_backend(NumpyBackend())
-register_backend(CompiledBackend())
 
 
 def available_backends() -> list[str]:
-    """The registered backend names, sorted.
-
-    Registration is independent of *availability*: an optional-dependency
-    backend (``"compiled"`` without numba) stays listed so operators can see
-    it exists, but :func:`get_backend` refuses it with the concrete reason.
-    Use :func:`backend_inventory` for the per-backend availability detail.
-    """
+    """The registered backend names, sorted."""
     return sorted(_BACKENDS)
-
-
-def backend_inventory() -> list[dict]:
-    """``describe()`` blocks of every registered backend, sorted by name —
-    the availability inventory behind ``GET /stats`` and ``repro-dp
-    backends``."""
-    return [_BACKENDS[name].describe() for name in sorted(_BACKENDS)]
-
-
-def resolve_auto_backend() -> str:
-    """The concrete name ``"auto"`` selects: the fastest available tier
-    (``"compiled"`` when its kernels can run, else ``"numpy"``)."""
-    compiled = _BACKENDS.get("compiled")
-    if compiled is not None and compiled.is_available():
-        return "compiled"
-    return "numpy"
 
 
 def default_backend_name() -> str:
     """The process-wide default backend (``REPRO_BACKEND`` or ``"python"``).
 
-    ``REPRO_BACKEND=auto`` resolves to the concrete automatic tier.  An
-    unknown — or registered-but-unavailable — name in the environment
-    variable raises rather than silently falling back, so a misconfigured
-    CI matrix fails loudly.
+    An unknown name in the environment variable raises rather than silently
+    falling back, so a misconfigured CI matrix fails loudly.
     """
     name = os.environ.get(BACKEND_ENV_VAR, "").strip()
     if not name:
         return "python"
-    if name == AUTO_BACKEND:
-        return resolve_auto_backend()
     if name not in _BACKENDS:
         raise EvaluationError(
             f"{BACKEND_ENV_VAR}={name!r} names no registered execution backend; "
-            f"available: {available_backends()} (or {AUTO_BACKEND!r})"
-        )
-    available, reason = _BACKENDS[name].availability()
-    if not available:
-        raise EvaluationError(
-            f"{BACKEND_ENV_VAR}={name!r} names a registered but unavailable "
-            f"execution backend: {reason}"
+            f"available: {available_backends()}"
         )
     return name
 
 
 def get_backend(spec: str | ExecutionBackend | None = None) -> ExecutionBackend:
-    """Resolve a backend from a name, an instance, or ``None`` (the default).
-
-    The pseudo-name ``"auto"`` picks the fastest available tier.  Naming a
-    registered backend whose optional dependency is missing raises an
-    :class:`~repro.exceptions.EvaluationError` carrying the concrete reason
-    (e.g. ``"compiled"`` without numba) instead of degrading silently.
-    """
+    """Resolve a backend from a name, an instance, or ``None`` (the default)."""
     if spec is None:
         return _BACKENDS[default_backend_name()]
     if isinstance(spec, ExecutionBackend):
         return spec
-    if spec == AUTO_BACKEND:
-        return _BACKENDS[resolve_auto_backend()]
     try:
-        backend = _BACKENDS[spec]
+        return _BACKENDS[spec]
     except KeyError:
         raise EvaluationError(
-            f"unknown execution backend {spec!r}; available: "
-            f"{available_backends()} (or {AUTO_BACKEND!r})"
+            f"unknown execution backend {spec!r}; available: {available_backends()}"
         ) from None
-    available, reason = backend.availability()
-    if not available:
-        raise EvaluationError(
-            f"execution backend {spec!r} is registered but unavailable: "
-            f"{reason}; select 'numpy' or 'auto' instead"
-        )
-    return backend

@@ -93,41 +93,12 @@ __all__ = [
     "factorization_counter_scope",
     "merge_factorization_delta",
     "reset_factorization_cache_stats",
-    "use_kernels",
 ]
 
 #: Re-factorize packed row codes once their key space exceeds this bound,
 #: keeping every subsequent ``codes * cardinality + codes`` combination safely
 #: inside ``int64``.
 _RENORMALIZE_CARDINALITY = 2**31
-
-
-# --------------------------------------------------------------------- #
-# Compiled kernel hooks
-# --------------------------------------------------------------------- #
-#: The context-locally active :class:`repro.engine.kernels.CompiledKernels`
-#: (``None``: the pure-NumPy paths run).  The ``"compiled"`` backend installs
-#: an instance around each elimination via :func:`use_kernels`; the hook
-#: points below consult it and fall back whenever a kernel declines (e.g.
-#: non-``int64`` dtypes), so results are identical either way.
-_ACTIVE_KERNELS: "contextvars.ContextVar" = contextvars.ContextVar(
-    "repro_active_kernels", default=None
-)
-
-
-@contextlib.contextmanager
-def use_kernels(kernels):
-    """Run the enclosed columnar evaluation with compiled kernel hooks.
-
-    Context-local (safe under the serving layer's thread pools): only the
-    enclosed computation sees ``kernels``; concurrent evaluations on other
-    threads keep the pure-NumPy paths.
-    """
-    token = _ACTIVE_KERNELS.set(kernels)
-    try:
-        yield kernels
-    finally:
-        _ACTIVE_KERNELS.reset(token)
 
 
 # --------------------------------------------------------------------- #
@@ -170,12 +141,6 @@ def _factorize_column(col: np.ndarray) -> ColumnCodes:
     """Factorize one column: ``np.unique`` for plain dtypes, dict interning
     for object columns (hashable but not necessarily mutually orderable)."""
     if col.dtype != object:
-        kernels = _ACTIVE_KERNELS.get()
-        if kernels is not None:
-            result = kernels.factorize(col)
-            if result is not None:
-                codes, values = result
-                return ColumnCodes(codes, values, True)
         uniq, inverse = np.unique(col, return_inverse=True)
         return ColumnCodes(inverse.astype(np.int64, copy=False), uniq, True)
     table: dict = {}
@@ -393,9 +358,6 @@ class ArrayFactor:
 
 
 def _renormalize(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.renormalize(codes)
     uniq, inverse = np.unique(codes, return_inverse=True)
     return inverse.astype(np.int64, copy=False), max(int(len(uniq)), 1)
 
@@ -486,33 +448,6 @@ def _factor_join_codes(
 # --------------------------------------------------------------------- #
 # Relational primitives
 # --------------------------------------------------------------------- #
-def _expand_matches(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matching ``(left_idx, right_idx)`` row pairs of a factorized join.
-
-    The right codes are stable-sorted; every left row is expanded to its
-    matching right rows.  With an active kernel hook the ``searchsorted``
-    probe and the match materialization are fused into one pass; the NumPy
-    path builds the same pairs (identical order) through ``searchsorted``
-    ranges, ``repeat`` and ``cumsum`` offsets.
-    """
-    order = np.argsort(rkey, kind="stable")
-    rsorted = rkey[order]
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.expand_matches(lkey, rsorted, order)
-    lo = np.searchsorted(rsorted, lkey, side="left")
-    hi = np.searchsorted(rsorted, lkey, side="right")
-    matches = hi - lo
-    hit = matches > 0
-    per_left = matches[hit]
-    total = int(per_left.sum())
-    left_idx = np.repeat(np.nonzero(hit)[0], per_left)
-    starts = np.repeat(lo[hit], per_left)
-    offsets = np.repeat(np.cumsum(per_left) - per_left, per_left)
-    right_idx = order[starts + (np.arange(total, dtype=np.int64) - offsets)]
-    return left_idx, right_idx
-
-
 def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
     """Natural join of two factors, multiplying counts (vectorized).
 
@@ -526,7 +461,18 @@ def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
     nl, nr = len(left), len(right)
     if shared:
         lkey, rkey = _factor_join_codes(left, right, shared)
-        left_idx, right_idx = _expand_matches(lkey, rkey)
+        order = np.argsort(rkey, kind="stable")
+        rsorted = rkey[order]
+        lo = np.searchsorted(rsorted, lkey, side="left")
+        hi = np.searchsorted(rsorted, lkey, side="right")
+        matches = hi - lo
+        hit = matches > 0
+        per_left = matches[hit]
+        total = int(per_left.sum())
+        left_idx = np.repeat(np.nonzero(hit)[0], per_left)
+        starts = np.repeat(lo[hit], per_left)
+        offsets = np.repeat(np.cumsum(per_left) - per_left, per_left)
+        right_idx = order[starts + (np.arange(total, dtype=np.int64) - offsets)]
     else:
         left_idx = np.repeat(np.arange(nl, dtype=np.int64), nr)
         right_idx = np.tile(np.arange(nr, dtype=np.int64), nl)
@@ -549,26 +495,14 @@ def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
     )
 
 
-def _group_reduce(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group first-occurrence indices and count sums, groups in
-    ascending code order.  The kernel hook fuses the ``np.unique`` +
-    ``np.add.at`` pair into one pass over a stable sort order; both paths
-    return identical arrays."""
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.group_reduce(codes, counts)
-    uniq, first_idx, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inverse, counts)
-    return first_idx, sums
-
-
 def _project_sum(factor: ArrayFactor, keep: Sequence[Variable]) -> ArrayFactor:
     """Sum out every variable not in ``keep`` (vectorized group-by)."""
     keep_set = set(keep)
     keep_vars = tuple(v for v in factor.variables if v in keep_set)
     codes = _factor_row_codes(factor, keep_vars)
-    first_idx, sums = _group_reduce(codes, factor.counts)
+    uniq, first_idx, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inverse, factor.counts)
     slots = factor.codes or [None] * len(factor.columns)
     out_codes = []
     out_cols = []
@@ -700,10 +634,8 @@ def _estimated_join_rows(
 ) -> int:
     """Number of rows the join of two factors would produce (exact, cheap)."""
     lkey, rkey = _factor_join_codes(left, right, shared)
-    rsorted = np.sort(rkey, kind="stable")
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.match_total(lkey, rsorted)
+    order = np.argsort(rkey, kind="stable")
+    rsorted = rkey[order]
     lo = np.searchsorted(rsorted, lkey, side="left")
     hi = np.searchsorted(rsorted, lkey, side="right")
     return int((hi - lo).sum())

@@ -197,24 +197,6 @@ def _worker_database(task: ComponentTask) -> Database:
     return database
 
 
-#: Backend names already warmed up in this worker process.  Spawn-context
-#: workers start cold, so the first task naming a backend with one-off
-#: warm-up work (the compiled tier's JIT compilation — amortized further by
-#: numba's on-disk cache across sibling workers) triggers it here, once,
-#: instead of on every component.
-_WORKER_WARMED_BACKENDS: set[str] = set()
-
-
-def _ensure_worker_backend(name: str | None) -> None:
-    if name is None or name in _WORKER_WARMED_BACKENDS:
-        return
-    from repro.engine.backend import get_backend
-
-    backend = get_backend(name)
-    backend.ensure_ready()
-    _WORKER_WARMED_BACKENDS.add(backend.name)
-
-
 def evaluate_component_task(task: ComponentTask):
     """Worker entry point: evaluate one component, return result + stats delta.
 
@@ -226,7 +208,6 @@ def evaluate_component_task(task: ComponentTask):
     from repro.engine.aggregates import boundary_multiplicity
     from repro.engine.columnar import factorization_counter_scope
 
-    _ensure_worker_backend(task.backend)
     database = _worker_database(task)
     with factorization_counter_scope() as counters:
         result = boundary_multiplicity(

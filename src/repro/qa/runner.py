@@ -52,14 +52,6 @@ executes a fixed battery of checks:
     identical structural stats counters, and the same factorization
     hits+misses total (the hit/miss *split* may shift toward misses —
     worker caches start cold).
-``compiled-backend``
-    The ``"compiled"`` backend (JIT kernels of
-    :mod:`repro.engine.kernels`) must be indistinguishable from
-    ``"numpy"``: identical counts, identical full lattice profiles
-    (value, exactness flag and dropped-predicate multiset per subset),
-    and bitwise-identical seeded releases.  When the compiled tier is
-    unavailable (no numba, ``REPRO_NO_COMPILED=1``) the check is skipped
-    with a notice recorded on the report — never silently.
 
 Every failure is wrapped in a :class:`FuzzFailure` that carries a
 self-contained replay snippet — paste it into a Python prompt (or pipe to
@@ -107,7 +99,6 @@ CHECKS = (
     "release",
     "incremental",
     "process-profile",
-    "compiled-backend",
 )
 
 #: Numerical slack for float comparisons of analytically-ordered quantities.
@@ -149,10 +140,6 @@ class FuzzReport:
     checks_run: int = 0
     oracle_ls_cases: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
-    #: Checks that could not run at all (``check name -> reason``), e.g.
-    #: ``compiled-backend`` without numba.  Skips are *not* failures but are
-    #: always surfaced — in this dict, the JSON report and the CLI summary.
-    skipped: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -168,7 +155,6 @@ class FuzzReport:
             "oracle_ls_cases": self.oracle_ls_cases,
             "ok": self.ok,
             "failures": [f.to_dict() for f in self.failures],
-            "skipped": dict(self.skipped),
         }
 
 
@@ -707,74 +693,4 @@ class DifferentialRunner:
                     f"{serial_events} (hits={ss.factorization_hits}, "
                     f"misses={ss.factorization_misses})"
                 )
-        return "; ".join(problems) or None
-
-    def _check_compiled_backend(self, case: FuzzCase, report) -> str | None:
-        from repro.engine import kernels
-
-        if not kernels.kernels_available():
-            if report is not None:
-                report.skipped.setdefault(
-                    "compiled-backend",
-                    f"skipped: {kernels.unavailable_reason()}",
-                )
-            return None
-
-        query, db = case.query(), case.database()
-        problems = []
-
-        counts = {
-            name: count_query(query, db, backend=name)
-            for name in ("numpy", "compiled")
-        }
-        if counts["numpy"] != counts["compiled"]:
-            problems.append(
-                f"count: compiled {counts['compiled']} != numpy {counts['numpy']}"
-            )
-
-        engine = ResidualSensitivity(query, beta=case.beta)
-        subsets = engine.required_subsets(db)
-        profiles = {
-            name: evaluate_profile(query, db, subsets, backend=name)
-            for name in ("numpy", "compiled")
-        }
-        for kept in subsets:
-            got = profiles["compiled"].results[kept]
-            want = profiles["numpy"].results[kept]
-            if (got.value, got.exact) != (want.value, want.exact):
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: compiled "
-                    f"({got.value}, exact={got.exact}) != numpy "
-                    f"({want.value}, exact={want.exact})"
-                )
-            elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                map(repr, want.dropped_predicates)
-            ):
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: dropped predicates differ: "
-                    f"compiled {got.dropped_predicates!r} != "
-                    f"numpy {want.dropped_predicates!r}"
-                )
-
-        releases = {}
-        for name in ("numpy", "compiled"):
-            releaser = PrivateCountingQuery(
-                query,
-                epsilon=case.epsilon,
-                rng=np.random.default_rng((case.seed, case.index)),
-                backend=name,
-            )
-            releases[name] = releaser.release(db, keep_true_count=True)
-        nm, cp = releases["numpy"], releases["compiled"]
-        if (cp.noisy_count, cp.sensitivity, cp.true_count) != (
-            nm.noisy_count,
-            nm.sensitivity,
-            nm.true_count,
-        ):
-            problems.append(
-                f"seeded release differs: compiled=(noisy={cp.noisy_count!r}, "
-                f"S={cp.sensitivity!r}, count={cp.true_count!r}) "
-                f"numpy=(noisy={nm.noisy_count!r}, S={nm.sensitivity!r}, "
-                f"count={nm.true_count!r})"
-            )
         return "; ".join(problems) or None

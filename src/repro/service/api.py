@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlparse
@@ -225,6 +227,21 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if self.log_requests:
             super().log_message(format, *args)
+
+    def handle_one_request(self) -> None:
+        # Until its request line arrives the connection is idle, and a drain
+        # may close it; once draining, kept-alive connections are not reused.
+        if not self.server.await_request(self.connection):
+            self.close_connection = True
+            return
+        try:
+            super().handle_one_request()
+        finally:
+            self.server.request_arrived(self.connection)
+
+    def parse_request(self) -> bool:
+        self.server.request_arrived(self.connection)
+        return super().parse_request()
 
     def _declared_body_length(self) -> int:
         self._body_unreadable: str | None = None
@@ -511,6 +528,48 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         return 200, session.describe()
 
 
+class _DrainingHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server whose ``server_close()`` ends in bounded time.
+
+    Request threads are non-daemonic, so ``server_close()`` joins every
+    in-flight handler.  A keep-alive connection waiting for its next request
+    has nothing in flight, but its thread is blocked reading the request
+    line; ``server_close()`` first shuts down the read side of every such
+    idle connection, so the join never waits on a client.
+    """
+
+    daemon_threads = False
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._idle_lock = threading.Lock()
+        self._idle: set[socket.socket] = set()
+        self._draining = False
+
+    def await_request(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle; ``False`` once the server is draining."""
+        with self._idle_lock:
+            if self._draining:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def request_arrived(self, connection: socket.socket) -> None:
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def server_close(self) -> None:
+        with self._idle_lock:
+            self._draining = True
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client already closed it
+        super().server_close()
+
+
 def make_server(
     service: PrivateQueryService,
     host: str = "127.0.0.1",
@@ -530,13 +589,19 @@ def make_server(
     of binding a fresh one — the prefork dispatcher
     (:class:`~repro.service.cluster.ClusterDispatcher`) binds once and every
     forked worker adopts the inherited descriptor, so the kernel's accept
-    queue load-balances connections across workers.  ``capacity`` is an
+    queue load-balances connections across workers.  The adopted listener
+    is switched to non-blocking: every worker's poll wakes for one incoming
+    connection, and a worker that loses the accept race must go back to its
+    loop (where it sees a shutdown) instead of blocking in ``accept()``
+    until the next client arrives.  ``capacity`` is an
     optional :class:`~repro.service.cluster.CapacityBoard` enabling
     admission control on ``/count``/``/batch``.
 
     Request threads are non-daemonic: ``server_close()`` joins every
     in-flight handler, which is what makes SIGTERM a *graceful* drain
-    rather than mid-response connection resets.
+    rather than mid-response connection resets.  Keep-alive connections
+    idle between requests are closed at that point, so an idle client
+    cannot hold the drain open.
     """
     handler = type(
         "BoundServiceRequestHandler",
@@ -544,8 +609,7 @@ def make_server(
         {"service": service, "log_requests": log_requests, "capacity": capacity},
     )
     if sock is None:
-        server = ThreadingHTTPServer((host, port), handler, bind_and_activate=False)
-        server.daemon_threads = False
+        server = _DrainingHTTPServer((host, port), handler, bind_and_activate=False)
         try:
             server.server_bind()
             server.server_activate()
@@ -553,9 +617,9 @@ def make_server(
             server.server_close()
             raise
         return server
-    server = ThreadingHTTPServer(sock.getsockname()[:2], handler, bind_and_activate=False)
-    server.daemon_threads = False
+    server = _DrainingHTTPServer(sock.getsockname()[:2], handler, bind_and_activate=False)
     server.socket.close()  # discard the fresh unbound socket
+    sock.setblocking(False)
     server.socket = sock
     host_name, port_number = sock.getsockname()[:2]
     server.server_address = (host_name, port_number)

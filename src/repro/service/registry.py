@@ -133,11 +133,7 @@ class DatabaseRegistry:
         """
         if not name or not isinstance(name, str):
             raise ServiceError(f"database name must be a non-empty string, got {name!r}")
-        resolved = get_backend(backend)
-        # One-off backend warm-up (the compiled tier's JIT compilation) runs
-        # at registration time, never on the first serving request.
-        resolved.ensure_ready()
-        backend = resolved.name
+        backend = get_backend(backend).name
         if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
             raise ServiceError(
                 f"unknown parallelism_mode {parallelism_mode!r}; "

@@ -57,12 +57,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.data.database import Database
-from repro.engine.backend import (
-    available_backends,
-    backend_inventory,
-    default_backend_name,
-    resolve_auto_backend,
-)
+from repro.engine.backend import available_backends, default_backend_name
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query
 from repro.engine.procpool import shutdown_process_pool
@@ -1190,8 +1185,6 @@ class PrivateQueryService:
             "backends": {
                 "available": available_backends(),
                 "default": default_backend_name(),
-                "auto": resolve_auto_backend(),
-                "inventory": backend_inventory(),
             },
             "parallelism": {
                 "workers": self._parallelism,

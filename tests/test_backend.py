@@ -40,9 +40,6 @@ class TestRegistry:
     def test_available_backends(self):
         assert "python" in available_backends()
         assert "numpy" in available_backends()
-        # The compiled tier is always *registered*; availability is a
-        # separate axis (numba may be missing) surfaced via describe().
-        assert "compiled" in available_backends()
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("python"), PythonBackend)
@@ -74,14 +71,15 @@ class TestRegistry:
         assert BACKEND_ENV_VAR in message
         for name in available_backends():
             assert name in message
-        assert "auto" in message
 
-    def test_env_var_auto_resolves_to_concrete_name(self, monkeypatch):
-        from repro.engine.backend import resolve_auto_backend
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert default_backend_name() == resolve_auto_backend()
-        assert default_backend_name() in available_backends()
+    @pytest.mark.parametrize("name", ["compiled", "auto"])
+    def test_unregistered_names_are_unknown(self, name, monkeypatch):
+        assert available_backends() == ["numpy", "python"]
+        with pytest.raises(EvaluationError, match="unknown execution backend"):
+            get_backend(name)
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
+        with pytest.raises(EvaluationError, match="names no registered"):
+            default_backend_name()
 
     def test_unknown_backend_raises(self):
         with pytest.raises(EvaluationError, match="unknown execution backend"):
@@ -106,36 +104,6 @@ class TestRegistry:
 
         with pytest.raises(EvaluationError, match="concrete name"):
             register_backend(Nameless())
-
-    def test_register_backend_rejects_reserved_auto_name(self):
-        class Impostor(PythonBackend):
-            name = "auto"
-
-        with pytest.raises(EvaluationError, match="reserved"):
-            register_backend(Impostor())
-
-    def test_describe_includes_availability_and_version(self):
-        info = get_backend("numpy").describe()
-        assert info["name"] == "numpy"
-        assert info["class"] == "NumpyBackend"
-        assert info["available"] is True
-        assert info["version"] == np.__version__
-
-    def test_describe_python_backend(self):
-        import platform
-
-        info = get_backend("python").describe()
-        assert info["available"] is True
-        assert info["version"] == platform.python_version()
-
-    def test_backend_inventory_covers_all_registered(self):
-        from repro.engine.backend import backend_inventory
-
-        inventory = backend_inventory()
-        assert [entry["name"] for entry in inventory] == available_backends()
-        for entry in inventory:
-            assert isinstance(entry["available"], bool)
-            assert "class" in entry and "version" in entry
 
 
 class TestRelationColumns:

@@ -36,6 +36,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--datasets", "NotADataset"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--query", "Edge(x, y)", "--backend", "compiled"],
+            ["count", "--query", "Edge(x, y)", "--backend", "auto"],
+            ["backends"],
+        ],
+        ids=["count-compiled", "count-auto", "backends-command"],
+    )
+    def test_unknown_backend_or_command_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_count_on_edge_file(self, edge_file, capsys):
@@ -339,64 +354,3 @@ class TestStateCommand:
     def test_state_requires_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["state"])
-
-
-class TestBackendsCommand:
-    def test_backends_json_schema(self, capsys):
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"default", "auto", "backends"}
-        assert payload["auto"] in {entry["name"] for entry in payload["backends"]}
-        names = [entry["name"] for entry in payload["backends"]]
-        assert names == sorted(names)
-        assert {"python", "numpy", "compiled"} <= set(names)
-        for entry in payload["backends"]:
-            assert isinstance(entry["available"], bool)
-            assert "class" in entry and "version" in entry
-            if not entry["available"]:
-                assert entry["reason"]
-
-    def test_backends_json_interpreted_mode(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_COMPILED_KERNELS", "interpreted")
-        assert main(["backends", "--warm-up", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        compiled = next(
-            entry for entry in payload["backends"] if entry["name"] == "compiled"
-        )
-        assert compiled["available"] is True
-        assert compiled["mode"] == "interpreted"
-        assert compiled["warm"] is True
-        assert payload["auto"] == "compiled"
-
-    def test_backends_text_output(self, capsys):
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "default backend" in output
-        assert "auto resolves to" in output
-        assert "compiled" in output
-
-    def test_backends_text_reports_unavailable_reason(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "unavailable" in output
-        assert "REPRO_NO_COMPILED" in output
-
-    def test_count_accepts_auto_backend(self, edge_file, capsys):
-        code = main(
-            [
-                "count",
-                "--edge-file",
-                str(edge_file),
-                "--query",
-                "Edge(x, y)",
-                "--epsilon",
-                "0.8",
-                "--backend",
-                "auto",
-                "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] in ("numpy", "compiled")

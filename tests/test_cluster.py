@@ -134,15 +134,21 @@ def _wait_for_board(url, *, used, timeout=30):
     raise AssertionError(f"capacity board never reached used={used}; last: {last}")
 
 
+#: Seconds a SIGTERM drain may take.  The dispatcher's last-resort SIGKILL
+#: of a stuck worker fires after 30 s, so a drain within this bound also
+#: proves no worker was force-killed.
+DRAIN_BOUND = 10
+
+
 def _stop(proc):
     """SIGTERM the server and require a clean (drained) exit."""
     proc.send_signal(signal.SIGTERM)
     try:
-        code = proc.wait(timeout=60)
+        code = proc.wait(timeout=DRAIN_BOUND)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait(timeout=60)
-        raise AssertionError("server did not drain within 60s of SIGTERM")
+        raise AssertionError(f"server did not drain within {DRAIN_BOUND}s of SIGTERM")
     assert code == 0, f"server exited {code} instead of draining cleanly"
 
 
@@ -461,6 +467,34 @@ def test_cluster_sigterm_drains_inflight_request(edge_file, tmp_path):
         assert "200" in status_line, status_line
         code = proc.wait(timeout=60)
         assert code == 0
+    finally:
+        _kill(proc)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_with_idle_keepalive_client_exits_promptly(edge_file, tmp_path, workers):
+    """An open keep-alive connection with no request in flight must not
+    hold the drain: the server closes it and exits 0 within the bound.
+
+    Short-lived connections come first: each one wakes every worker's poll
+    on the shared listener, and the workers that lose the accept race must
+    not be left blocked in ``accept()`` when SIGTERM arrives.
+    """
+    proc, url = _spawn(edge_file, tmp_path / "st", "--workers", str(workers))
+    try:
+        _wait_for_workers(url, workers)
+        for _ in range(20):
+            _get(f"{url}/capacity")
+        host, port = url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=60)
+        connection.request("GET", "/capacity")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()
+        assert not response.will_close  # the connection stays open, idle
+        _stop(proc)
+        connection.close()
     finally:
         _kill(proc)
 

@@ -266,44 +266,3 @@ class TestFuzzCli:
         assert f"replay_case(seed={failure['seed']}, case={failure['case']}" in (
             failure["replay"]
         )
-
-
-class TestCompiledBackendCheck:
-    """The tenth check: compiled-vs-numpy parity with skip-with-notice."""
-
-    def test_skipped_with_notice_when_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        report = DifferentialRunner(0).run(2)
-        assert report.ok
-        assert report.checks_run == 2 * len(CHECKS)
-        assert "compiled-backend" in report.skipped
-        assert "skipped" in report.skipped["compiled-backend"]
-        assert report.to_dict()["skipped"] == report.skipped
-
-    def test_runs_in_interpreted_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_KERNELS", "interpreted")
-        monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
-        runner = DifferentialRunner(0)
-        case = WorkloadGenerator(0).case(0)
-        from repro.qa.runner import FuzzReport
-
-        report = FuzzReport(seed=0, cases=1)
-        failure = runner.run_check(case, "compiled-backend", report=report)
-        assert failure is None
-        assert report.skipped == {}
-
-    def test_fuzz_cli_prints_skip_notice(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        assert main(["fuzz", "--cases", "1", "--seed", "0"]) == 0
-        output = capsys.readouterr().out
-        assert "fuzz notice" in output
-        assert "compiled-backend" in output
-
-    def test_fuzz_cli_json_reports_skipped(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        code = main(
-            ["fuzz", "--cases", "1", "--seed", "0", "--calibration-samples", "0", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "compiled-backend" in payload["fuzz"]["skipped"]

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.engine.backend import default_backend_name
 from repro.service.api import make_server
 
 
@@ -83,6 +87,10 @@ class TestEndpoints:
         assert status == 200
         assert stats["requests_served"] == 1
         assert "k4" in stats["databases"]
+        assert stats["backends"] == {
+            "available": ["numpy", "python"],
+            "default": default_backend_name(),
+        }
 
     def test_batch_endpoint_deduplicates(self, server_url):
         post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})
@@ -174,6 +182,15 @@ class TestErrorMapping:
         )
         assert status == 404
         assert "unknown database" in body["error"]
+
+    @pytest.mark.parametrize("backend", ["auto", "compiled"])
+    def test_register_rejects_unknown_backend(self, server_url, backend):
+        status, body = post(
+            f"{server_url}/register",
+            {"name": "k4", "edges": K4_EDGES, "backend": backend},
+        )
+        assert status == 400
+        assert "unknown execution backend" in body["error"]
 
     def test_malformed_body_400(self, server_url):
         request = urllib.request.Request(
@@ -394,6 +411,67 @@ class TestKeepAliveFraming:
             status, body = _read_response(reader)
             assert status == 404
             assert reader.read() == b""  # server closed instead of waiting
+
+
+class TestDrain:
+    def test_server_close_is_bounded_with_busy_and_idle_keepalive_clients(
+        self, service_factory
+    ):
+        """``server_close()`` closes idle keep-alive connections, lets busy
+        ones finish their request, and never waits on a client — under more
+        client threads than cores and a shortened switch interval."""
+        service = service_factory(register=False, rng=0)
+        server = make_server(service, "127.0.0.1", 0)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        host, port = server.server_address[:2]
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        served = [0] * 8
+
+        def client(index: int) -> None:
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                while True:
+                    connection.request("GET", "/stats")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    json.loads(response.read())  # every response is whole
+                    served[index] += 1
+                    if index % 2:  # odd clients go idle after one request
+                        stop.wait()
+                        return
+                    if stop.is_set():
+                        return
+            except (http.client.RemoteDisconnected, ConnectionError):
+                pass  # closed by the drain between two requests
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                connection.close()
+
+        clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while min(served) == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert min(served) > 0, served
+            server.shutdown()
+            closer = threading.Thread(target=server.server_close)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "server_close() waited on a client"
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
 
 
 class TestShedRetryAfter:
