@@ -771,8 +771,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
     # Flush before forking: children inherit the stdout buffer, and an
     # unflushed banner would be printed once per worker.
     sys.stdout.flush()
-    dispatcher.serve()
-    return 0
+    return dispatcher.serve()
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
@@ -907,32 +906,48 @@ def _run_mutate(args: argparse.Namespace) -> int:
 
 
 def _run_state(args: argparse.Namespace) -> int:
-    from repro.service.persistence import StateStore
+    from repro.service.service import replay_state
 
-    store = StateStore(args.state_dir, create=False)
-    recovered = store.recover()
+    seq, sessions, registry = replay_state(args.state_dir)
+    views = {}
+    for session_id in sessions.active_ids():
+        view = sessions.get(session_id).describe()
+        del view["closed"]
+        views[session_id] = view
+    shared_spent = sessions.shared.spent
+    shared_charges = len(sessions.shared.charges)
+    databases = registry.recovered_metadata()
     if args.json:
-        print(json.dumps(recovered.describe(), indent=2))
+        summary = {
+            "seq": seq,
+            "sessions": views,
+            "shared": {"spent": shared_spent, "charges": shared_charges},
+            "audit": {
+                "total_recorded": sessions.audit.total_recorded,
+                "tail": len(sessions.audit),
+            },
+            "databases": databases,
+            "versions": registry.snapshot_state()["versions"],
+        }
+        print(json.dumps(summary, indent=2))
         return 0
     print(f"state directory : {args.state_dir}")
-    print(f"last journal seq: {recovered.seq}")
-    print(f"audit total     : {recovered.audit_total}")
-    shared = recovered.shared_spent
-    print(f"shared spent    : {shared:.6f} ({recovered.shared_charges} charges)")
-    if recovered.sessions:
-        print(f"{len(recovered.sessions)} live session(s):")
-        for session in sorted(recovered.sessions.values(), key=lambda s: s.session_id):
-            view = session.describe()
+    print(f"last journal seq: {seq}")
+    print(f"audit total     : {sessions.audit.total_recorded}")
+    print(f"shared spent    : {shared_spent:.6f} ({shared_charges} charges)")
+    if views:
+        print(f"{len(views)} live session(s):")
+        for session_id, view in views.items():
             print(
-                f"  {session.session_id}: budget {view['budget']}, "
+                f"  {session_id}: budget {view['budget']}, "
                 f"spent {view['spent']:.6f}, remaining {view['remaining']:.6f}, "
                 f"{view['charges']} charge(s)"
             )
     else:
         print("no live sessions")
-    if recovered.databases:
-        print(f"{len(recovered.databases)} registered database(s):")
-        for name, meta in sorted(recovered.databases.items()):
+    if databases:
+        print(f"{len(databases)} registered database(s):")
+        for name, meta in sorted(databases.items()):
             print(
                 f"  {name}: version {meta.get('version')}, "
                 f"backend {meta.get('backend')}, "
@@ -1018,6 +1033,9 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     if cluster is not None:
         for failure in cluster.failures:
             print(f"cluster FAIL case {failure['case']}: {failure['message']}")
+            print("  replay snippet:")
+            for line in failure["replay"].splitlines():
+                print(f"    {line}")
         status = "ok" if cluster.ok else "FAIL"
         print(
             f"cluster [{status}]: {cluster.cases} cases through "

@@ -52,8 +52,11 @@ return *identical* :class:`~repro.engine.elimination.EliminationResult`
 values: same counts, same ``dropped_predicates``, same exactness flags.  The
 cross-backend equivalence tests rely on this.
 
-Counts are ``int64``; workloads whose intermediate multiplicities exceed
-``2**63`` would need the dict engine's arbitrary-precision integers.
+Counts are ``int64``.  Before every count product, group sum and sparse
+product the engine bounds the result from the operands' maxima; when the
+bound could exceed ``2**63 - 1`` the whole call is answered by the dict
+engine's arbitrary-precision integers instead, so results stay identical to
+the Python backend.
 """
 
 from __future__ import annotations
@@ -94,6 +97,27 @@ __all__ = [
     "merge_factorization_delta",
     "reset_factorization_cache_stats",
 ]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _CountOverflow(Exception):
+    """An ``int64`` count could overflow; the dict engine takes the call."""
+
+
+def _check_count_bound(*factors: int) -> None:
+    """Raise :class:`_CountOverflow` when the product of ``factors`` — an
+    upper bound on every count an operation produces — exceeds ``int64``."""
+    bound = 1
+    for factor in factors:
+        bound *= factor
+    if bound > _INT64_MAX:
+        raise _CountOverflow
+
+
+def _max_count(counts: np.ndarray) -> int:
+    return int(counts.max()) if len(counts) else 0
+
 
 #: Re-factorize packed row codes once their key space exceeds this bound,
 #: keeping every subsequent ``codes * cardinality + codes`` combination safely
@@ -457,6 +481,7 @@ def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
     ``searchsorted`` ranges.  Without shared variables it degenerates to a
     cross product.
     """
+    _check_count_bound(_max_count(left.counts), _max_count(right.counts))
     shared = tuple(v for v in left.variables if v in right.variables)
     nl, nr = len(left), len(right)
     if shared:
@@ -501,6 +526,7 @@ def _project_sum(factor: ArrayFactor, keep: Sequence[Variable]) -> ArrayFactor:
     keep_vars = tuple(v for v in factor.variables if v in keep_set)
     codes = _factor_row_codes(factor, keep_vars)
     uniq, first_idx, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    _check_count_bound(_max_count(factor.counts), len(factor.counts))
     sums = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(sums, inverse, factor.counts)
     slots = factor.codes or [None] * len(factor.columns)
@@ -690,6 +716,8 @@ def _matmul_aggregate(
         rcol, return_index=True, return_inverse=True
     )
 
+    # Each product entry sums at most one left×right count pair per mid.
+    _check_count_bound(_max_count(left.counts), _max_count(right.counts), len(mid_uniq))
     left_matrix = sparse.coo_matrix(
         (left.counts, (lrow_dense, lmid_dense)),
         shape=(max(1, len(lrow_uniq)), max(1, len(mid_uniq))),
@@ -779,8 +807,29 @@ def eliminate_group_counts_columnar(
     The drop-in columnar equivalent of
     :func:`repro.engine.elimination.eliminate_group_counts`: same parameters,
     same :class:`EliminationResult` contract (identical counts, group-variable
-    ordering, dropped predicates and elimination order).
+    ordering, dropped predicates and elimination order).  A call whose counts
+    could overflow ``int64`` is answered by that dict engine instead.
     """
+    try:
+        return _eliminate_columnar(
+            query, database, group_variables,
+            atom_indices=atom_indices, predicates=predicates,
+        )
+    except _CountOverflow:
+        return _elimination.eliminate_group_counts(
+            query, database, group_variables,
+            atom_indices=atom_indices, predicates=predicates,
+        )
+
+
+def _eliminate_columnar(
+    query: ConjunctiveQuery,
+    database: Database,
+    group_variables: Sequence[Variable],
+    *,
+    atom_indices: Sequence[int] | None,
+    predicates: Sequence[Predicate] | None,
+) -> EliminationResult:
     indices = list(range(query.num_atoms)) if atom_indices is None else list(atom_indices)
     if not indices:
         return EliminationResult({(): 1}, tuple(group_variables), (), ())

@@ -23,16 +23,12 @@ it into a multi-tenant serving system:
 * :mod:`repro.service.persistence` — the write-ahead ledger journal and
   compacted snapshots that make sessions, spent budgets and audit totals
   survive a crash or restart (``PrivateQueryService(state_dir=...)``,
-  ``repro-dp serve --state-dir``, ``repro-dp state replay``).
+  ``repro-dp serve --state-dir``; :func:`replay_state` and
+  ``repro-dp state replay`` inspect a state directory offline).
 """
 
 from repro.service.cache import CacheStats, LRUCache
-from repro.service.persistence import (
-    LedgerJournal,
-    RecoveredSession,
-    RecoveredState,
-    StateStore,
-)
+from repro.service.persistence import LedgerJournal, StateStore
 from repro.service.executor import (
     BatchExecutor,
     BatchItemResult,
@@ -40,7 +36,7 @@ from repro.service.executor import (
     BatchResult,
 )
 from repro.service.registry import DatabaseRegistry, RegisteredDatabase
-from repro.service.service import CountResponse, PrivateQueryService
+from repro.service.service import CountResponse, PrivateQueryService, replay_state
 from repro.service.sessions import (
     AuditLog,
     AuditRecord,
@@ -63,10 +59,9 @@ __all__ = [
     "LedgerJournal",
     "LRUCache",
     "PrivateQueryService",
-    "RecoveredSession",
-    "RecoveredState",
     "RegisteredDatabase",
     "Session",
     "SessionManager",
     "StateStore",
+    "replay_state",
 ]

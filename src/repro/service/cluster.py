@@ -41,6 +41,7 @@ import os
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 from typing import Any, Callable
@@ -54,6 +55,13 @@ __all__ = ["CapacityBoard", "ClusterDispatcher"]
 #: Per-worker slot layout in the shared board: pid, inflight, served, shed.
 _SLOT_FORMAT = "<qqqq"
 _SLOT_SIZE = struct.calcsize(_SLOT_FORMAT)
+
+#: The signals that stop the dispatcher (and drain the cluster).
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+#: Seconds the drain waits for workers after SIGTERM before it SIGKILLs the
+#: stragglers and makes ``serve`` report failure.
+KILL_DEADLINE = 30.0
 
 
 class _Stop(Exception):
@@ -247,6 +255,8 @@ class ClusterDispatcher:
         self._sock: socket.socket | None = None
         self._children: dict[int, int] = {}  # pid -> worker index
         self.respawns = 0
+        #: Workers the drain had to SIGKILL after :data:`KILL_DEADLINE`.
+        self.forced_kills = 0
 
     # ------------------------------------------------------------------ #
     # Socket lifecycle
@@ -295,6 +305,9 @@ class ClusterDispatcher:
             threading.Thread(target=server.shutdown, daemon=True).start()
 
         signal.signal(signal.SIGTERM, drain)
+        # _spawn forked with the stop signals blocked; a SIGTERM that
+        # arrived since is delivered here, to the drain handler.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         try:
             server.serve_forever(poll_interval=0.05)
             # Joins in-flight request threads (daemon_threads=False), then
@@ -309,22 +322,30 @@ class ClusterDispatcher:
     # Dispatcher side
     # ------------------------------------------------------------------ #
     def _spawn(self, index: int) -> None:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = self._worker_main(index)
-            finally:
-                # Never fall back into the dispatcher's stack: skip atexit
-                # handlers and buffered-IO flushes of inherited state.
-                os._exit(code)
-        self._children[pid] = index
-        self.board._write_slot(index, pid, 0, 0, 0)
+        # Block the stop signals from fork to registration: a stop raised in
+        # between would leave a child the drain never signals or reaps.  The
+        # child keeps them blocked until its drain handler is installed.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = self._worker_main(index)
+                finally:
+                    # Never fall back into the dispatcher's stack: skip atexit
+                    # handlers and buffered-IO flushes of inherited state.
+                    os._exit(code)
+            self._children[pid] = index
+            self.board._write_slot(index, pid, 0, 0, 0)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def serve(self) -> None:
+    def serve(self) -> int:
         """Fork the workers and supervise until SIGTERM/SIGINT.
 
-        Returns only after every worker exited and ``finalize`` ran.
+        Returns only after every worker exited and ``finalize`` ran: ``0``
+        after a clean drain, ``1`` when a worker had to be SIGKILLed.
         """
         if self._sock is None:
             self.bind()
@@ -332,18 +353,13 @@ class ClusterDispatcher:
         def request_stop(signum, frame):
             raise _Stop
 
-        previous = {
-            sig: signal.signal(sig, request_stop)
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
+        previous = {sig: signal.signal(sig, request_stop) for sig in _STOP_SIGNALS}
         try:
             for index in range(self.workers):
                 self._spawn(index)
             while True:
                 try:
                     pid, status = os.waitpid(-1, 0)
-                except _Stop:
-                    break
                 except ChildProcessError:
                     break  # every child is gone (should not happen unprompted)
                 index = self._children.pop(pid, None)
@@ -356,10 +372,13 @@ class ClusterDispatcher:
                 self.respawns += 1
                 time.sleep(self.respawn_delay)
                 self._spawn(index)
+        except _Stop:
+            pass  # raised from waitpid, the respawn delay or between spawns
         finally:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
             self._shutdown()
+        return 1 if self.forced_kills else 0
 
     def _shutdown(self) -> None:
         for pid in list(self._children):
@@ -367,7 +386,7 @@ class ClusterDispatcher:
                 os.kill(pid, signal.SIGTERM)
             except ProcessLookupError:
                 pass
-        deadline = time.monotonic() + 30.0
+        deadline = time.monotonic() + KILL_DEADLINE
         while self._children:
             reaped = []
             for pid in list(self._children):
@@ -381,8 +400,15 @@ class ClusterDispatcher:
                 self.board.mark_dead(self._children.pop(pid))
             if not self._children:
                 break
-            if time.monotonic() > deadline:  # pragma: no cover - last resort
+            if time.monotonic() > deadline:
                 for pid in list(self._children):
+                    print(
+                        f"repro-dp serve: worker pid {pid} did not drain within "
+                        f"{KILL_DEADLINE:g}s of SIGTERM; sending SIGKILL",
+                        file=sys.stderr,
+                        flush=True,
+                    )
+                    self.forced_kills += 1
                     try:
                         os.kill(pid, signal.SIGKILL)
                     except ProcessLookupError:

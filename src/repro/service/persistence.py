@@ -19,6 +19,11 @@ of a **write-ahead journal** and **periodic compacted snapshots**:
 * :class:`StateStore` — the façade owning a state directory
   (``journal.jsonl`` + ``snapshot.json``), used by
   :class:`~repro.service.service.PrivateQueryService` via ``state_dir=``.
+  The store never interprets a record itself: :meth:`StateStore.recover`
+  hands the snapshot to ``snapshot_loader`` and the journal records to
+  ``absorb_records``, callbacks bound to ``SessionManager.absorb`` and
+  ``DatabaseRegistry.absorb`` — the one fold recovery, cluster absorption
+  and ``repro-dp state replay`` share.
 
 Consistency model
 -----------------
@@ -78,19 +83,15 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exceptions import ServiceError
 
 __all__ = [
     "LedgerJournal",
-    "RecoveredSession",
-    "RecoveredState",
     "StateStore",
     "exclusive_or_null",
-    "replay_records",
 ]
 
 
@@ -246,235 +247,10 @@ class LedgerJournal:
             yield record
 
 
-@dataclass
-class RecoveredSession:
-    """One session's reconstructed ledger state."""
-
-    session_id: str
-    budget: float
-    charges: list[tuple[float, str]] = field(default_factory=list)
-
-    @property
-    def spent(self) -> float:
-        """Total ε consumed by the recovered charges."""
-        return sum(epsilon for epsilon, _ in self.charges)
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-serialisable budget view (mirrors ``Session.describe``)."""
-        spent = self.spent
-        return {
-            "session": self.session_id,
-            "budget": self.budget,
-            "spent": spent,
-            "remaining": self.budget - spent,
-            "charges": len(self.charges),
-        }
-
-
-@dataclass
-class RecoveredState:
-    """The full state reconstructed from a snapshot plus journal replay."""
-
-    seq: int = 0
-    sessions: dict[str, RecoveredSession] = field(default_factory=dict)
-    shared_charge_list: list[tuple[float, str]] = field(default_factory=list)
-    audit_total: int = 0
-    audit_tail: list[dict[str, Any]] = field(default_factory=list)
-    databases: dict[str, dict[str, Any]] = field(default_factory=dict)
-    versions: dict[str, int] = field(default_factory=dict)
-    #: Total committed charge events ever journaled (never decremented by
-    #: rollbacks) — the deterministic per-charge noise ordinal used by the
-    #: cluster's ``noise_mode="charge-seq"`` (see ``PrivateQueryService``).
-    charge_events: int = 0
-
-    @property
-    def shared_spent(self) -> float:
-        """Total ε drawn from the shared deployment budget."""
-        return sum(epsilon for epsilon, _ in self.shared_charge_list)
-
-    @property
-    def shared_charges(self) -> int:
-        """Number of charges against the shared deployment budget."""
-        return len(self.shared_charge_list)
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-serialisable summary (the ``state replay`` CLI output)."""
-        return {
-            "seq": self.seq,
-            "sessions": {
-                sid: session.describe() for sid, session in sorted(self.sessions.items())
-            },
-            "shared": {"spent": self.shared_spent, "charges": self.shared_charges},
-            "audit": {"total_recorded": self.audit_total, "tail": len(self.audit_tail)},
-            "databases": self.databases,
-            "versions": self.versions,
-        }
-
-
-#: Bound on the audit tail carried through snapshots and replay (the live
-#: in-memory log keeps its own, larger bound).  Shared with
-#: ``SessionManager.snapshot_state`` so snapshot and replay can never
-#: silently disagree on how much tail survives.
+#: Bound on the audit tail carried through snapshots (the live in-memory log
+#: keeps its own, larger bound).  Shared with ``SessionManager.snapshot_state``
+#: and the offline ``state replay`` fold so both report the same tail.
 AUDIT_TAIL_LIMIT = 1000
-
-
-def _audit_entry(state: RecoveredState, record: Mapping[str, Any], action: str, *,
-                 ok: bool = True) -> None:
-    """Reconstruct the audit record an in-memory run would have appended."""
-    state.audit_total += 1
-    state.audit_tail.append(
-        {
-            "session": record.get("session") or "-",
-            "action": action,
-            "epsilon": float(record.get("epsilon", 0.0)),
-            "label": record.get("label", ""),
-            "ok": ok,
-            "detail": record.get("detail", ""),
-            "timestamp": record.get("ts", 0.0),
-        }
-    )
-    if len(state.audit_tail) > AUDIT_TAIL_LIMIT:
-        del state.audit_tail[: len(state.audit_tail) - AUDIT_TAIL_LIMIT]
-
-
-def replay_records(
-    records: Iterator[Mapping[str, Any]], state: RecoveredState | None = None
-) -> RecoveredState:
-    """Fold journal records into a :class:`RecoveredState`.
-
-    Replay is tolerant by design: records about sessions that no longer
-    exist (e.g. an ``expire`` journaled after a compaction already dropped
-    the session) are skipped rather than fatal, because the journal is the
-    authority and later records supersede earlier ones.
-    """
-    state = state if state is not None else RecoveredState()
-    for record in records:
-        seq = int(record.get("seq", 0))
-        if seq <= state.seq:
-            continue  # already folded into the snapshot this replay started from
-        state.seq = seq
-        event = record["event"]
-        session_id = record.get("session")
-        if event == "session_create":
-            budget = float(record["budget"])
-            if session_id not in state.sessions:
-                state.sessions[session_id] = RecoveredSession(
-                    session_id=session_id, budget=budget
-                )
-            # Mirror the live AuditLog exactly: create records carry the
-            # budget as their epsilon and the standard detail string.
-            _audit_entry(
-                state,
-                {**record, "epsilon": budget, "detail": "session created"},
-                "create",
-            )
-        elif event in ("session_close", "session_expire"):
-            state.sessions.pop(session_id, None)
-            detail = (
-                "session closed" if event == "session_close" else "idle past ttl"
-            )
-            _audit_entry(
-                state,
-                {**record, "detail": detail},
-                event.removeprefix("session_"),
-            )
-        elif event == "charge":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                session = state.sessions.get(session_id)
-                if session is not None:
-                    session.charges.append((epsilon, label))
-            # The record says whether a shared deployment accountant took
-            # part; a deployment without one must not grow phantom shared
-            # spend on replay.  The shared ledger labels session charges
-            # "<session>:<label>", exactly as the live charge path does.
-            if record.get("shared", True):
-                state.shared_charge_list.append(
-                    (epsilon, label if session_id is None else f"{session_id}:{label}")
-                )
-            state.charge_events += 1
-            _audit_entry(state, record, "charge")
-        elif event == "rollback":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                session = state.sessions.get(session_id)
-                if session is not None:
-                    for idx in range(len(session.charges) - 1, -1, -1):
-                        if session.charges[idx] == (epsilon, label):
-                            del session.charges[idx]
-                            break
-            if record.get("shared", True):
-                shared_label = label if session_id is None else f"{session_id}:{label}"
-                for idx in range(len(state.shared_charge_list) - 1, -1, -1):
-                    if state.shared_charge_list[idx] == (epsilon, shared_label):
-                        del state.shared_charge_list[idx]
-                        break
-            _audit_entry(state, record, "rollback", ok=False)
-        elif event == "deny":
-            _audit_entry(state, record, "deny", ok=False)
-        elif event == "register":
-            name = record["name"]
-            meta = {
-                key: record[key]
-                for key in (
-                    "name",
-                    "version",
-                    "backend",
-                    "relations",
-                    "private_tuples",
-                    "epochs",
-                )
-                if key in record
-            }
-            state.databases[name] = meta
-            state.versions[name] = max(
-                int(record["version"]), state.versions.get(name, 0)
-            )
-        elif event == "unregister":
-            state.databases.pop(record["name"], None)
-        elif event == "mutate":
-            # Delta mutation of a registered database: refresh the metadata
-            # (sizes, tuple counts, epochs) without touching the version —
-            # mutations are not re-registrations.  A mutate record for a
-            # database whose register record was dropped by a later
-            # unregister is stale and skipped (journal-authority rule).
-            meta = state.databases.get(record["name"])
-            if meta is not None:
-                for key in ("relations", "private_tuples", "epochs"):
-                    if key in record:
-                        meta[key] = record[key]
-        else:
-            raise ServiceError(f"unknown journal event {event!r} (seq {seq})")
-    return state
-
-
-def _state_from_snapshot(snapshot: Mapping[str, Any]) -> RecoveredState:
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise ServiceError(
-            f"unsupported snapshot format {snapshot.get('format')!r} "
-            f"(this build reads format {SNAPSHOT_FORMAT})"
-        )
-    state = RecoveredState(seq=int(snapshot.get("seq", 0)))
-    for entry in snapshot.get("sessions", []):
-        session = RecoveredSession(
-            session_id=entry["session"],
-            budget=float(entry["budget"]),
-            charges=[(float(e), str(l)) for e, l in entry.get("charges", [])],
-        )
-        state.sessions[session.session_id] = session
-    shared = snapshot.get("shared") or {}
-    state.shared_charge_list = [
-        (float(epsilon), str(label)) for epsilon, label in shared.get("charges", [])
-    ]
-    audit = snapshot.get("audit") or {}
-    state.audit_total = int(audit.get("total_recorded", 0))
-    state.audit_tail = list(audit.get("tail", []))
-    state.databases = dict(snapshot.get("databases", {}))
-    state.versions = {name: int(v) for name, v in snapshot.get("versions", {}).items()}
-    state.charge_events = int(snapshot.get("charge_events", 0))
-    return state
 
 
 class StateStore:
@@ -554,9 +330,14 @@ class StateStore:
         #: Set by the service: returns the snapshot document body (without
         #: ``format``/``seq``, which the store adds).
         self.snapshot_provider: Callable[[], dict[str, Any]] | None = None
-        #: Set by the service in shared mode: receives records journaled by
-        #: sibling worker processes, in seq order, under the process lock.
-        self.absorb_records: Callable[[list[dict[str, Any]]], None] | None = None
+        #: The inverse of ``snapshot_provider``: receives the snapshot
+        #: document :meth:`recover` found on disk.
+        self.snapshot_loader: Callable[[Mapping[str, Any]], None] | None = None
+        #: Receives journal records in seq order, each exactly once: those
+        #: past the snapshot cut at :meth:`recover`, and (in shared mode)
+        #: those journaled by sibling worker processes, under the process
+        #: lock.
+        self.absorb_records: Callable[[Iterable[dict[str, Any]]], None] | None = None
         # Optional observability binding (see bind_metrics).
         self._m_append = None
         self._m_records = None
@@ -714,19 +495,46 @@ class StateStore:
                     f"corrupt journal {self._journal.path}: unparseable record "
                     f"at byte offset {self._journal_offset + consumed - len(raw)}"
                 ) from None
-            seq = int(record.get("seq", 0))
-            if seq > self._seq:
-                self._seq = seq
-                fresh.append(record)
+            fresh.append(record)
         self._journal_offset += consumed
-        if fresh and self.absorb_records is not None:
-            self.absorb_records(fresh)
+        self._absorb(fresh)
 
-    def recover(self) -> RecoveredState:
-        """Rebuild the state from snapshot + journal and resume the seq.
+    def _absorb(self, records: Iterable[dict[str, Any]]) -> None:
+        """Hand ``absorb_records`` every record past the current seq.
+
+        The seq de-duplication both recovery and sibling absorption rely
+        on: a record at or below the seq already folded in (by the snapshot
+        cut, an earlier read, or this process's own append) is skipped.
+        """
+
+        def fresh() -> Iterator[dict[str, Any]]:
+            for record in records:
+                seq = int(record.get("seq", 0))
+                if seq > self._seq:
+                    self._seq = seq
+                    yield record
+
+        pending = fresh()
+        try:
+            if self.absorb_records is not None:
+                self.absorb_records(pending)
+        finally:
+            # Advance the seq past every record even when there is no
+            # callback or it raised: a later append must never reuse a seq
+            # that is already in the journal.
+            for _ in pending:
+                pass
+
+    def recover(self) -> int:
+        """Fold the snapshot and the journal tail into the bound state.
+
+        The snapshot document goes to ``snapshot_loader``; every journal
+        record past its cut then goes to ``absorb_records`` — the same fold
+        that mirrors sibling records in shared mode.  Returns the recovered
+        seq, from which new appends resume.
 
         Shared stores recover under the inter-process journal lock so the
-        snapshot read, journal replay, torn-tail repair and read-offset
+        snapshot read, journal fold, torn-tail repair and read-offset
         initialization see a frozen journal even while sibling workers are
         already serving.
         """
@@ -734,33 +542,36 @@ class StateStore:
             if self._shared:
                 fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_EX)
             try:
-                state = RecoveredState()
                 if self._snapshot_path.exists():
-                    try:
-                        snapshot = json.loads(
-                            self._snapshot_path.read_text(encoding="utf-8")
-                        )
-                    except json.JSONDecodeError as exc:
-                        raise ServiceError(
-                            f"corrupt snapshot {self._snapshot_path}: {exc}"
-                        ) from None
-                    state = _state_from_snapshot(snapshot)
-                state = replay_records(
-                    LedgerJournal.read_records(self._journal.path), state
-                )
+                    self._load_snapshot()
+                self._absorb(LedgerJournal.read_records(self._journal.path))
                 if self._writable:
-                    # A torn final line was skipped by replay; cut it off
+                    # A torn final line was skipped by the fold; cut it off
                     # physically so the next append starts on a clean line
                     # instead of merging with the partial record.  Read-only
                     # stores must never do this: against a *live* server the
                     # "torn" tail may simply be a record still being flushed.
                     self._journal.repair_torn_tail()
-                self._seq = max(self._seq, state.seq)
                 self._journal_offset = self._journal.tell()
             finally:
                 if self._shared:
                     fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_UN)
-        return state
+            return self._seq
+
+    def _load_snapshot(self) -> None:
+        """Read the snapshot, hand it to ``snapshot_loader`` and resume its seq."""
+        try:
+            snapshot = json.loads(self._snapshot_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ServiceError(f"corrupt snapshot {self._snapshot_path}: {exc}") from None
+        if snapshot.get("format") != SNAPSHOT_FORMAT:
+            raise ServiceError(
+                f"unsupported snapshot format {snapshot.get('format')!r} "
+                f"(this build reads format {SNAPSHOT_FORMAT})"
+            )
+        if self.snapshot_loader is not None:
+            self.snapshot_loader(snapshot)
+        self._seq = max(self._seq, int(snapshot.get("seq", 0)))
 
     def append(self, event: str, *, apply: Callable[[], None] | None = None, **fields) -> int:
         """Journal one record, then run ``apply`` under the same lock.

@@ -380,44 +380,33 @@ class DatabaseRegistry:
         if not any(entry.database is database for entry in self._entries.values()):
             database.release_caches()
 
-    def restore(
-        self, versions: dict[str, int], metadata: dict[str, dict[str, Any]]
-    ) -> None:
-        """Resume the version sequence (and remember metadata) from recovery.
+    def absorb(self, record: dict[str, Any]) -> bool:
+        """Apply one journal record's registry effect.
 
-        Silent by design — the state came *from* the journal.  Contents are
-        not restored; a recovered name answers queries again only after the
-        caller re-registers its database (with ``replace=True``), which
-        continues the version sequence from the recovered counter.
-        """
-        with self._lock:
-            for name, version in versions.items():
-                self._versions[name] = max(self._versions.get(name, 0), int(version))
-            for name, meta in metadata.items():
-                if name not in self._entries:
-                    self._recovered[name] = dict(meta)
+        With :meth:`SessionManager.absorb <repro.service.sessions.SessionManager.absorb>`
+        this is the single definition of what a journal record means in
+        memory — startup recovery, absorption of sibling workers' records
+        and offline ``repro-dp state replay`` all fold records through it.
+        Returns ``False`` for an event that is not a registry event.
 
-    def absorb(self, record: dict[str, Any]) -> None:
-        """Mirror one registry record journaled by a sibling worker process.
+        Contents never cross the journal, so a registration only advances
+        the local version counter (keeping cluster-wide cache keys unique)
+        and, when the name is not locally loaded, records its metadata as
+        recovered.  Local registrations are never displaced: each worker
+        serves the contents it loaded itself.
 
-        Contents never cross the journal, so a remote registration only
-        advances the local version counter (keeping cluster-wide cache keys
-        unique) and, when the name is not locally loaded, records recovered
-        metadata — exactly what journal replay would reconstruct.  Local
-        registrations are never displaced: each worker serves the contents
-        it loaded itself.
-
-        A remote *mutation* carries its normalized operations: if this
-        worker has the name loaded, the same delta is applied to the local
-        copy (identical copies stay identical, and the local epochs advance
-        in lock-step, invalidating exactly the same cache entries as on the
+        A *mutation* carries its normalized operations: if this process has
+        the name loaded, the same delta is applied to the local copy
+        (identical copies stay identical, and the local epochs advance in
+        lock-step, invalidating exactly the same cache entries as on the
         originating worker); otherwise only the recovered metadata is
-        refreshed.  A divergent local copy must not poison the absorb loop,
-        so apply errors are swallowed — the next re-registration resyncs.
+        refreshed.  A divergent local copy must not poison the fold, so
+        apply errors are swallowed — the next re-registration resyncs.
         """
+        event = record["event"]
         name = record.get("name")
-        if record["event"] == "register":
-            version = int(record.get("version", 0))
+        if event == "register":
+            version = int(record["version"])
             with self._lock:
                 self._versions[name] = max(self._versions.get(name, 0), version)
                 if name not in self._entries:
@@ -434,10 +423,10 @@ class DatabaseRegistry:
                         )
                         if key in record
                     }
-        elif record["event"] == "unregister":
+        elif event == "unregister":
             with self._lock:
                 self._recovered.pop(name, None)
-        elif record["event"] == "mutate":
+        elif event == "mutate":
             with self._lock:
                 entry = self._entries.get(name)
                 if entry is not None:
@@ -458,6 +447,9 @@ class DatabaseRegistry:
                     for key in ("relations", "private_tuples", "epochs"):
                         if key in record:
                             meta[key] = record[key]
+        else:
+            return False
+        return True
 
     def recovered_metadata(self) -> dict[str, dict[str, Any]]:
         """Metadata of recovered-but-not-reloaded databases (by name)."""
@@ -499,3 +491,19 @@ class DatabaseRegistry:
             databases[entry.name] = entry.describe()
             versions[entry.name] = max(versions.get(entry.name, 0), entry.version)
         return {"databases": databases, "versions": versions}
+
+    def load_snapshot(self, body: dict[str, Any]) -> None:
+        """Resume the version sequence and remember the metadata of a
+        snapshot written by :meth:`snapshot_state` (recovery only).
+
+        Contents are not restored; a recovered name answers queries again
+        only after the caller re-registers its database (with
+        ``replace=True``), which continues the version sequence from the
+        recovered counter.
+        """
+        with self._lock:
+            for name, version in body.get("versions", {}).items():
+                self._versions[name] = max(self._versions.get(name, 0), int(version))
+            for name, meta in body.get("databases", {}).items():
+                if name not in self._entries:
+                    self._recovered[name] = dict(meta)

@@ -49,6 +49,7 @@ refusal.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -74,13 +75,64 @@ from repro.query.parser import parse_query
 from repro.sensitivity.base import SensitivityResult
 from repro.sensitivity.residual import ResidualSensitivity
 from repro.service.cache import LRUCache
-from repro.service.persistence import RecoveredState, StateStore
+from repro.service.persistence import AUDIT_TAIL_LIMIT, StateStore
 from repro.service.registry import DatabaseRegistry, RegisteredDatabase
-from repro.service.sessions import SessionManager
+from repro.service.sessions import AuditLog, SessionManager
 
-__all__ = ["PrivateQueryService", "CountResponse"]
+__all__ = ["PrivateQueryService", "CountResponse", "replay_state"]
 
 _METHODS = ("residual", "elastic", "smooth-triangle", "smooth-star", "global")
+
+
+def _fold(store: StateStore, sessions: SessionManager, registry: DatabaseRegistry) -> int:
+    """Recover ``store`` into ``sessions`` and ``registry``; returns the seq.
+
+    Binds the snapshot readers and the one journal fold — every record goes
+    to :meth:`DatabaseRegistry.absorb`, then :meth:`SessionManager.absorb`,
+    and a record neither recognises is rejected — as the store's callbacks,
+    so the records a shared store later absorbs from sibling workers take
+    exactly the path recovery took.
+    """
+
+    def load(body: Mapping[str, Any]) -> None:
+        sessions.load_snapshot(body)
+        registry.load_snapshot(body)
+
+    def absorb(records) -> None:
+        for record in records:
+            if not (registry.absorb(record) or sessions.absorb(record)):
+                raise ServiceError(
+                    f"unknown journal event {record['event']!r} (seq {record.get('seq')})"
+                )
+
+    store.snapshot_loader = load
+    store.absorb_records = absorb
+    return store.recover()
+
+
+def replay_state(state_dir: str) -> tuple[int, SessionManager, DatabaseRegistry]:
+    """Fold a state directory offline: ``(seq, sessions, registry)``.
+
+    What ``repro-dp state replay`` prints.  The directory is opened
+    read-only — no lock, no torn-tail repair, no write of any kind, so it
+    is safe against a live server — and folded through the same
+    ``absorb`` methods a serving process recovers with, into a
+    journal-less :class:`SessionManager` and :class:`DatabaseRegistry`.
+    The shared ledger takes every shared charge whatever budget the
+    deployment had (only its spend is meaningful), and the audit log keeps
+    the snapshot's bounded tail (:data:`AUDIT_TAIL_LIMIT` records).
+    """
+    sessions = SessionManager(
+        shared=PrivacyAccountant(sys.float_info.max),
+        audit=AuditLog(max_records=AUDIT_TAIL_LIMIT),
+    )
+    registry = DatabaseRegistry()
+    store = StateStore(state_dir, create=False)
+    try:
+        seq = _fold(store, sessions, registry)
+    finally:
+        store.close()
+    return seq, sessions, registry
 
 
 @dataclass(frozen=True)
@@ -263,19 +315,15 @@ class PrivateQueryService:
             if state_dir is not None
             else None
         )
-        recovered = self._store.recover() if self._store is not None else None
         shared = PrivacyAccountant(total_budget) if total_budget is not None else None
         self._registry = DatabaseRegistry(journal=self._store)
         self._sessions = SessionManager(
             session_budget, ttl=session_ttl, shared=shared, journal=self._store
         )
         self._recovered_seq = 0
-        if recovered is not None:
-            self._restore(recovered)
         if self._store is not None:
             self._store.snapshot_provider = self._snapshot_state
-            if self._store.shared:
-                self._store.absorb_records = self._absorb_records
+            self._recovered_seq = _fold(self._store, self._sessions, self._registry)
         self._plan_cache = LRUCache(cache_capacity)
         self._profile_cache = LRUCache(cache_capacity)
         self._sensitivity_cache = LRUCache(cache_capacity)
@@ -506,34 +554,6 @@ class PrivateQueryService:
     def store(self) -> StateStore | None:
         """The durable state store (``None`` without ``state_dir``)."""
         return self._store
-
-    def _restore(self, recovered: RecoveredState) -> None:
-        """Rebuild sessions, budgets, audit and registry metadata — silently
-        (no journaling: the state came *from* the journal)."""
-        for session in recovered.sessions.values():
-            self._sessions.restore_session(session)
-        if self._sessions.shared is not None:
-            for epsilon, label in recovered.shared_charge_list:
-                self._sessions.shared.restore_charge(epsilon, label=label)
-        if recovered.audit_total:
-            self._sessions.audit.restore(recovered.audit_tail, recovered.audit_total)
-        self._registry.restore(recovered.versions, recovered.databases)
-        self._sessions.restore_charge_events(recovered.charge_events)
-        self._recovered_seq = recovered.seq
-
-    def _absorb_records(self, records: list[dict[str, Any]]) -> None:
-        """Mirror journal records appended by sibling cluster workers.
-
-        Installed as the shared store's absorption callback; runs under the
-        store lock and the inter-process journal lock, in seq order, before
-        any local budget decision that triggered the synchronization.
-        """
-        for record in records:
-            event = record["event"]
-            if event in ("register", "unregister", "mutate"):
-                self._registry.absorb(record)
-            else:
-                self._sessions.absorb(record)
 
     def _snapshot_state(self) -> dict[str, Any]:
         """The compacted-snapshot body (called under the store lock, which

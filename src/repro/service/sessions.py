@@ -39,7 +39,7 @@ from repro.mechanisms.accountant import BudgetCharge, PrivacyAccountant
 from repro.service.persistence import AUDIT_TAIL_LIMIT, exclusive_or_null
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.service.persistence import RecoveredSession, StateStore
+    from repro.service.persistence import StateStore
 
 __all__ = [
     "AuditLog",
@@ -124,8 +124,13 @@ class AuditLog:
         label: str = "",
         ok: bool = True,
         detail: str = "",
+        timestamp: float | None = None,
     ) -> AuditRecord:
-        """Record an event; the oldest record is dropped when full."""
+        """Record an event; the oldest record is dropped when full.
+
+        ``timestamp`` defaults to now; the journal fold passes the time the
+        event was journaled.
+        """
         with self._lock:
             record = AuditRecord(
                 seq=next(self._seq),
@@ -135,7 +140,7 @@ class AuditLog:
                 label=label,
                 ok=ok,
                 detail=detail,
-                timestamp=time.time(),
+                timestamp=time.time() if timestamp is None else timestamp,
             )
             self._records.append(record)
             self._total += 1
@@ -149,9 +154,9 @@ class AuditLog:
             return self._records[-n:] if n > 0 else []
 
     def restore(self, tail: list[dict[str, Any]], total_recorded: int) -> None:
-        """Reload the log from recovered state (a bounded tail + the total).
+        """Reload the log from a snapshot (a bounded tail + the total).
 
-        Used once, at service start, before any new record is appended; the
+        Used once, at recovery, before any new record is appended; the
         sequence counter resumes at ``total_recorded`` so recovered and new
         records never share a seq.
         """
@@ -449,48 +454,32 @@ class SessionManager:
         with self._lock:
             return sorted(self._sessions)
 
-    def restore_session(self, recovered: "RecoveredSession") -> Session:
-        """Rebuild a session from recovered journal state.
-
-        Silent by design: no journal record (the state came *from* the
-        journal) and no audit entry (the audit log is restored separately).
-        """
-        with self._lock:
-            if recovered.session_id in self._sessions:
-                raise ServiceError(
-                    f"cannot restore session {recovered.session_id!r}: already live"
-                )
-            session = Session(
-                recovered.session_id, recovered.budget, created_at=self._clock()
-            )
-            for epsilon, label in recovered.charges:
-                session.ledger.restore_charge(epsilon, label=label)
-            self._sessions[recovered.session_id] = session
-        return session
-
     @property
     def charge_events(self) -> int:
         """Committed charge events ever seen (local + absorbed + recovered)."""
         with self._lock:
             return self._charge_events
 
-    def restore_charge_events(self, count: int) -> None:
-        """Resume the charge-event ordinal from recovered state (start-up only)."""
-        with self._lock:
-            self._charge_events = max(self._charge_events, int(count))
+    def absorb(self, record: dict[str, Any]) -> bool:
+        """Apply one journal record's session, ledger and audit effect.
 
-    def absorb(self, record: dict[str, Any]) -> None:
-        """Mirror one journal record appended by a sibling worker process.
+        With :meth:`DatabaseRegistry.absorb <repro.service.registry.DatabaseRegistry.absorb>`
+        this is the single definition of what a journal record means in
+        memory: startup recovery, absorption of records journaled by sibling
+        worker processes, and offline ``repro-dp state replay`` all fold
+        records through it, so the three can never disagree.  It mirrors the
+        live mutation paths exactly — audit entries included, stamped with
+        the record's journal time.  Returns ``False`` for an event that is
+        not a session event.
 
-        Called (via the service) from the store's absorption path, under the
-        store lock and the inter-process journal lock, so the local ledgers
-        reflect every cluster-wide charge before this worker's next
-        affordability decision.  Mirrors :func:`~repro.service.persistence.replay_records`
-        and the live mutation paths exactly — audit entries included — so a
-        worker's ``/stats`` always matches an offline journal replay.
+        Records about sessions that no longer exist (an ``expire`` journaled
+        after a compaction already dropped the session) are tolerated: the
+        journal is the authority and later records supersede earlier ones.
         """
         event = record["event"]
         session_id = record.get("session")
+        audit_id = session_id or "-"
+        timestamp = record.get("ts")
         if event == "session_create":
             budget = float(record["budget"])
             with self._lock:
@@ -499,7 +488,8 @@ class SessionManager:
                         session_id, budget, created_at=self._clock()
                     )
             self.audit.append(
-                session_id, "create", epsilon=budget, detail="session created"
+                audit_id, "create", epsilon=budget, detail="session created",
+                timestamp=timestamp,
             )
         elif event in ("session_close", "session_expire"):
             with self._lock:
@@ -508,53 +498,48 @@ class SessionManager:
                 session.closed = True
             action = event.removeprefix("session_")
             detail = "session closed" if event == "session_close" else "idle past ttl"
-            self.audit.append(session_id or "-", action, detail=detail)
-        elif event == "charge":
+            self.audit.append(audit_id, action, detail=detail, timestamp=timestamp)
+        elif event in ("charge", "rollback"):
             epsilon = float(record["epsilon"])
             label = record.get("label", "")
+            charge = event == "charge"
+            ledgers: list[tuple[PrivacyAccountant, str]] = []
             if session_id is not None:
                 with self._lock:
                     session = self._sessions.get(session_id)
                 if session is not None:
-                    with session.lock:
-                        session.ledger.restore_charge(epsilon, label=label)
+                    ledgers.append((session.ledger, label))
+            # The record says whether a shared deployment accountant took
+            # part; the shared ledger labels session charges
+            # "<session>:<label>", exactly as the live charge path does.
             if self.shared is not None and record.get("shared", True):
                 shared_label = label if session_id is None else f"{session_id}:{label}"
-                self.shared.restore_charge(epsilon, label=shared_label)
+                ledgers.append((self.shared, shared_label))
+            for ledger, ledger_label in ledgers:
+                if charge:
+                    ledger.restore_charge(epsilon, label=ledger_label)
+                else:
+                    ledger.remove_charge(epsilon, label=ledger_label)
             self.audit.append(
-                session_id or "-", "charge", epsilon=epsilon, label=label
+                audit_id, event, epsilon=epsilon, label=label, ok=charge,
+                detail=record.get("detail", ""), timestamp=timestamp,
             )
-            with self._lock:
-                self._charge_events += 1
-        elif event == "rollback":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
+            if charge:
                 with self._lock:
-                    session = self._sessions.get(session_id)
-                if session is not None:
-                    with session.lock:
-                        session.ledger.remove_charge(epsilon, label=label)
-            if self.shared is not None and record.get("shared", True):
-                shared_label = label if session_id is None else f"{session_id}:{label}"
-                self.shared.remove_charge(epsilon, label=shared_label)
-            self.audit.append(
-                session_id or "-",
-                "rollback",
-                epsilon=epsilon,
-                label=label,
-                ok=False,
-                detail=record.get("detail", ""),
-            )
+                    self._charge_events += 1
         elif event == "deny":
             self.audit.append(
-                session_id or "-",
+                audit_id,
                 "deny",
                 epsilon=float(record.get("epsilon", 0.0)),
                 label=record.get("label", ""),
                 ok=False,
                 detail=record.get("detail", ""),
+                timestamp=timestamp,
             )
+        else:
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # Charging
@@ -784,3 +769,28 @@ class SessionManager:
             },
             "charge_events": self._charge_events,
         }
+
+    def load_snapshot(self, body: dict[str, Any]) -> None:
+        """Rebuild sessions, ledgers, audit log and charge ordinal from a
+        snapshot written by :meth:`snapshot_state` (recovery only).
+
+        Silent by design: no journal record (the state came *from* the
+        journal).  A snapshot's shared charges are dropped when this manager
+        has no shared accountant, as the journal fold drops them.
+        """
+        with self._lock:
+            for entry in body.get("sessions", []):
+                session_id = entry["session"]
+                if session_id in self._sessions:
+                    raise ServiceError(f"cannot load session {session_id!r}: already live")
+                session = Session(session_id, float(entry["budget"]), created_at=self._clock())
+                for epsilon, label in entry.get("charges", []):
+                    session.ledger.restore_charge(float(epsilon), label=str(label))
+                self._sessions[session_id] = session
+            self._charge_events = max(self._charge_events, int(body.get("charge_events", 0)))
+        if self.shared is not None:
+            for epsilon, label in (body.get("shared") or {}).get("charges", []):
+                self.shared.restore_charge(float(epsilon), label=str(label))
+        audit = body.get("audit") or {}
+        if audit.get("total_recorded"):
+            self.audit.restore(list(audit.get("tail", [])), int(audit["total_recorded"]))

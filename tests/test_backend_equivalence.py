@@ -25,6 +25,7 @@ from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.backend import default_backend_name, get_backend
 from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.elimination import eliminate_group_counts
+from repro.engine.evaluation import count_query
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
 from repro.mechanisms.mechanism import PrivateCountingQuery
@@ -230,6 +231,22 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
     columnar = eliminate_group_counts_columnar(query, db, ())
     assert python.counts == columnar.counts == {}
     assert python.dropped_predicates == columnar.dropped_predicates
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_counts_past_int64_are_exact(backend):
+    """An 8-star on one centre with 2**8 leaves has 2**64 results: the
+    columnar engine must not wrap its int64 counts but hand the call to the
+    arbitrary-precision dict engine."""
+    from repro.graphs.patterns import k_star_query
+
+    schema = DatabaseSchema.from_arities({"Edge": 2})
+    db = Database.from_rows(schema, Edge=[(0, leaf) for leaf in range(1, 2**8 + 1)])
+    query = k_star_query(8, inequalities=False)
+    assert count_query(query, db, backend=backend) == 2**64
+    everything = boundary_multiplicity(query, db, range(8), backend=backend)
+    assert everything.value == 2**64
+    assert boundary_multiplicity(query, db, range(7), backend=backend).value == 2**56
 
 
 # --------------------------------------------------------------------- #

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.persistence import StateStore
+from repro.service.service import replay_state
 
 WORKERS = max(1, int(os.environ.get("REPRO_CLUSTER_WORKERS", "2")))
 
@@ -78,15 +78,25 @@ def _get(url, timeout=30):
         return json.loads(response.read())
 
 
-def _spawn(edge_file, state_dir, *extra):
+def _spawn(edge_file, state_dir, *extra, kill_deadline=None):
+    """Start ``repro-dp serve``; ``kill_deadline`` patches the dispatcher's
+    SIGKILL deadline (``repro.service.cluster.KILL_DEADLINE``) first."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     backend = os.environ.get("REPRO_BACKEND")
     backend_args = ("--backend", backend) if backend else ()
+    entry = ["-m", "repro.cli"]
+    if kill_deadline is not None:
+        entry = [
+            "-c",
+            "import sys, repro.service.cluster as cluster; "
+            f"cluster.KILL_DEADLINE = {kill_deadline!r}; "
+            "from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+        ]
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "serve",
+            sys.executable, *entry, "serve",
             "--edge-file", str(edge_file), "--name", "g",
             "--port", "0", "--session-budget", "64",
             "--state-dir", str(state_dir), "--seed", "1",
@@ -135,9 +145,28 @@ def _wait_for_board(url, *, used, timeout=30):
 
 
 #: Seconds a SIGTERM drain may take.  The dispatcher's last-resort SIGKILL
-#: of a stuck worker fires after 30 s, so a drain within this bound also
-#: proves no worker was force-killed.
+#: of a stuck worker fires after 30 s (and makes it exit non-zero), so a
+#: drain within this bound also proves no worker was force-killed.
 DRAIN_BOUND = 10
+
+
+def _processes_naming(marker):
+    """Pids of live processes whose command line contains ``marker``.
+
+    Forked workers share the dispatcher's command line, so a worker that
+    outlived its dispatcher shows up here (re-parented, but still named).
+    """
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if marker.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
 
 
 def _stop(proc):
@@ -275,12 +304,12 @@ def test_mixed_traffic_spend_equals_sequential_replay(edge_file, tmp_path):
     # The journal's sequential replay IS the ground truth: every session's
     # recovered ledger must equal the ε its client was acknowledged, and
     # the cluster-wide spend must equal the grand total — exactly.
-    recovered = StateStore(str(state_dir), create=False).recover()
+    _, sessions, _ = replay_state(str(state_dir))
     for sid, values in acked.items():
-        replayed = recovered.sessions[sid].describe()
+        replayed = sessions.get(sid).describe()
         assert replayed["spent"] == pytest.approx(sum(values), abs=1e-12)
         assert replayed["spent"] <= replayed["budget"] + 1e-9
-    assert recovered.shared_spent == pytest.approx(
+    assert sessions.shared.spent == pytest.approx(
         sum(sum(values) for values in acked.values()), abs=1e-12
     )
 
@@ -353,8 +382,8 @@ def test_sigkill_worker_respawns_and_ledger_survives(edge_file, tmp_path):
         stop.set()
         _kill(proc)
 
-    recovered = StateStore(str(state_dir), create=False).recover()
-    replayed = recovered.sessions["soak"].describe()
+    _, sessions, _ = replay_state(str(state_dir))
+    replayed = sessions.get("soak").describe()
     assert replayed["spent"] >= acknowledged - 1e-9
     assert replayed["spent"] <= replayed["budget"] + 1e-9
     assert replayed["spent"] == pytest.approx(view["spent"], abs=1e-12)
@@ -496,6 +525,74 @@ def test_sigterm_with_idle_keepalive_client_exits_promptly(edge_file, tmp_path, 
         _stop(proc)
         connection.close()
     finally:
+        _kill(proc)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc to find survivors")
+def test_sigterm_during_worker_respawn_drains_cleanly(edge_file, tmp_path):
+    """SIGTERM landing inside the respawn delay after a worker crash must
+    still drain: exit 0 within the bound, no orphaned worker, and the
+    journal keeps every charge acknowledged before the crash."""
+    state_dir = tmp_path / "respawn-st"
+    proc, url = _spawn(edge_file, state_dir, "--workers", "2")
+    try:
+        board = _wait_for_workers(url, 2)
+        _post(f"{url}/budget", {"session_id": "pre", "budget": 8.0})
+        acknowledged = 0.0
+        for _ in range(3):
+            _post(
+                f"{url}/count",
+                {"database": "g", "query": "Edge(x, y)", "epsilon": 0.25,
+                 "session": "pre"},
+            )
+            acknowledged += 0.25
+        victim = board["workers"][0]["pid"]
+        os.kill(victim, signal.SIGKILL)
+        time.sleep(0.05)  # inside the dispatcher's 0.2 s respawn delay
+        proc.send_signal(signal.SIGTERM)
+        started = time.monotonic()
+        try:
+            code = proc.wait(timeout=DRAIN_BOUND)
+        except subprocess.TimeoutExpired:
+            raise AssertionError(f"no exit within {DRAIN_BOUND}s of SIGTERM") from None
+        output = proc.stdout.read()
+        assert code == 0, output
+        assert time.monotonic() - started < DRAIN_BOUND
+        assert _processes_naming(str(state_dir)) == []
+    finally:
+        for pid in _processes_naming(str(state_dir)):
+            os.kill(pid, signal.SIGKILL)
+        _kill(proc)
+
+    _, sessions, _ = replay_state(str(state_dir))
+    assert sessions.get("pre").ledger.spent == acknowledged
+
+
+@pytest.mark.slow
+def test_forced_kill_is_reported_and_fails_the_exit_code(edge_file, tmp_path):
+    """A worker whose in-flight request never finishes is SIGKILLed after
+    the (patched, 1 s) deadline; the dispatcher names it and exits 1."""
+    proc, url = _spawn(
+        edge_file, tmp_path / "st", "--workers", "2", kill_deadline=1.0
+    )
+    sock = None
+    try:
+        _wait_for_workers(url, 2)
+        sock, _ = _slow_request(
+            url, {"database": "g", "query": "Edge(x, y)", "epsilon": 0.25}
+        )
+        board = _wait_for_board(url, used=1)  # admitted, blocked on the body
+        stuck = next(w["pid"] for w in board["workers"] if w["inflight"] == 1)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=DRAIN_BOUND)
+        output = proc.stdout.read()
+        assert code == 1, output
+        assert f"worker pid {stuck} did not drain within 1s" in output
+        assert "SIGKILL" in output
+    finally:
+        if sock is not None:
+            sock.close()
         _kill(proc)
 
 

@@ -8,8 +8,17 @@ import pytest
 
 from repro.exceptions import PrivacyError, ServiceError
 from repro.mechanisms.accountant import PrivacyAccountant
-from repro.service.persistence import LedgerJournal, StateStore, replay_records
+from repro.service.persistence import LedgerJournal, StateStore
+from repro.service.service import PrivateQueryService, replay_state
 from repro.service.sessions import SessionManager
+
+
+def _fold_journal(tmp_path, records):
+    """Write ``records`` as a journal and fold it offline."""
+    with open(tmp_path / "journal.jsonl", "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+    return replay_state(str(tmp_path))
 
 
 @pytest.fixture
@@ -73,24 +82,24 @@ class TestJournal:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 99, "event": "char')  # in-flight record
         before = path.read_bytes()
-        state = StateStore(str(tmp_path), create=False).recover()
+        _, sessions, _ = replay_state(str(tmp_path))
         assert path.read_bytes() == before  # untouched
-        assert state.sessions[sid].spent == pytest.approx(0.5)
+        assert sessions.get(sid).ledger.spent == pytest.approx(0.5)
 
 
 class TestReplay:
-    def test_charge_and_rollback_cancel_out(self):
+    def test_charge_and_rollback_cancel_out(self, tmp_path):
         records = [
             {"seq": 1, "event": "session_create", "session": "s", "budget": 2.0},
             {"seq": 2, "event": "charge", "session": "s", "epsilon": 0.5, "label": "q"},
             {"seq": 3, "event": "rollback", "session": "s", "epsilon": 0.5, "label": "q"},
         ]
-        state = replay_records(iter(records))
-        assert state.sessions["s"].spent == 0.0
-        assert state.shared_spent == 0.0
-        assert state.audit_total == 3  # create + charge + rollback all audited
+        _, sessions, _ = _fold_journal(tmp_path, records)
+        assert sessions.get("s").ledger.spent == 0.0
+        assert sessions.shared.spent == 0.0
+        assert sessions.audit.total_recorded == 3  # create + charge + rollback all audited
 
-    def test_close_and_expire_remove_sessions(self):
+    def test_close_and_expire_remove_sessions(self, tmp_path):
         records = [
             {"seq": 1, "event": "session_create", "session": "a", "budget": 1.0},
             {"seq": 2, "event": "session_create", "session": "b", "budget": 1.0},
@@ -98,21 +107,160 @@ class TestReplay:
             {"seq": 4, "event": "session_expire", "session": "b"},
             {"seq": 5, "event": "session_expire", "session": "b"},  # tolerated
         ]
-        state = replay_records(iter(records))
-        assert state.sessions == {}
+        _, sessions, _ = _fold_journal(tmp_path, records)
+        assert sessions.active_ids() == []
 
-    def test_unknown_event_rejected(self):
+    def test_unknown_event_rejected(self, tmp_path):
         with pytest.raises(ServiceError, match="unknown journal event"):
-            replay_records(iter([{"seq": 1, "event": "bogus"}]))
+            _fold_journal(tmp_path, [{"seq": 1, "event": "bogus"}])
 
-    def test_register_tracks_highest_version(self):
+    def test_register_tracks_highest_version(self, tmp_path):
         records = [
             {"seq": 1, "event": "register", "name": "g", "version": 3, "backend": "python"},
             {"seq": 2, "event": "unregister", "name": "g"},
         ]
-        state = replay_records(iter(records))
-        assert state.databases == {}
-        assert state.versions == {"g": 3}
+        _, _, registry = _fold_journal(tmp_path, records)
+        assert registry.recovered_metadata() == {}
+        assert registry.snapshot_state()["versions"] == {"g": 3}
+
+
+def _register_record(name, version):
+    return {
+        "event": "register", "name": name, "version": version, "backend": "python",
+        "parallelism_mode": "thread", "relations": {"R": 2}, "private_tuples": 2,
+        "epochs": {"R": 0},
+    }
+
+
+#: One journal tail per event type (plus one this build does not know),
+#: each after a shared prefix that gives the event something to act on.
+_EVENT_TAILS = {
+    "session_create": [{"event": "session_create", "session": "b", "budget": 1.5}],
+    "session_close": [{"event": "session_close", "session": "a"}],
+    "session_expire": [{"event": "session_expire", "session": "a"}],
+    "charge": [
+        {"event": "charge", "session": "a", "epsilon": 0.25, "label": "q", "shared": True},
+        {"event": "charge", "session": None, "epsilon": 0.5, "label": "anon", "shared": True},
+    ],
+    "rollback": [
+        {"event": "rollback", "session": "a", "epsilon": 0.5, "label": "q",
+         "detail": "release failed", "shared": True},
+    ],
+    "deny": [
+        {"event": "deny", "session": "a", "epsilon": 9.0, "label": "",
+         "detail": "session budget exhausted"},
+    ],
+    "register": [_register_record("h", 1), _register_record("g", 2)],
+    "unregister": [{"event": "unregister", "name": "g"}],
+    "mutate": [
+        {"event": "mutate", "name": "g", "version": 1,
+         "operations": [{"relation": "R", "op": "insert", "rows": [[3, 4]]}],
+         "inserted": 1, "deleted": 0, "relations": {"R": 3}, "private_tuples": 3,
+         "epochs": {"R": 1}},
+    ],
+    "bogus": [{"event": "bogus", "session": "a"}],
+}
+
+
+class TestOneFold:
+    """Startup recovery, shared-store absorption and offline replay fold a
+    journal through the same code, so they must agree on every event."""
+
+    PREFIX = [
+        _register_record("g", 1),
+        {"event": "session_create", "session": "a", "budget": 2.0},
+        {"event": "charge", "session": "a", "epsilon": 0.5, "label": "q", "shared": True},
+    ]
+
+    @staticmethod
+    def _records(event):
+        records = TestOneFold.PREFIX + _EVENT_TAILS[event]
+        return [
+            {"seq": seq, "ts": 1000.0 + seq, **record}
+            for seq, record in enumerate(records, start=1)
+        ]
+
+    @staticmethod
+    def _write(path, records):
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+
+    @staticmethod
+    def _view(sessions, registry):
+        return {
+            "sessions": {sid: sessions.get(sid).describe() for sid in sessions.active_ids()},
+            "shared_spent": sessions.shared.spent,
+            "audit_total": sessions.audit.total_recorded,
+            "audit_tail": [record.to_dict() for record in sessions.audit.tail(1000)],
+            "metadata": registry.recovered_metadata(),
+            "versions": registry.snapshot_state()["versions"],
+            "charge_events": sessions.charge_events,
+        }
+
+    def _recovered(self, state_dir, records):
+        state_dir.mkdir()
+        self._write(state_dir / "journal.jsonl", records)
+        service = PrivateQueryService(
+            total_budget=10.0, state_dir=str(state_dir), observability=False
+        )
+        try:
+            return self._view(service.sessions, service.registry)
+        finally:
+            service.close(snapshot=False)
+
+    def _absorbed(self, state_dir, records):
+        service = PrivateQueryService(
+            total_budget=10.0, state_dir=str(state_dir), shared_state=True,
+            observability=False,
+        )
+        try:
+            self._write(state_dir / "journal.jsonl", records)  # a sibling's appends
+            with service.store.exclusive():
+                pass  # entering the journal lock absorbs sibling records
+            return self._view(service.sessions, service.registry)
+        finally:
+            service.close(snapshot=False)
+
+    def _replayed(self, state_dir, records):
+        state_dir.mkdir()
+        self._write(state_dir / "journal.jsonl", records)
+        _, sessions, registry = replay_state(str(state_dir))
+        return self._view(sessions, registry)
+
+    @pytest.mark.parametrize("event", sorted(_EVENT_TAILS))
+    def test_three_paths_agree(self, tmp_path, event):
+        records = self._records(event)
+        paths = (self._recovered, self._absorbed, self._replayed)
+        if event == "bogus":
+            for index, fold in enumerate(paths):
+                with pytest.raises(ServiceError, match="unknown journal event 'bogus'"):
+                    fold(tmp_path / f"d{index}", records)
+            return
+        views = [fold(tmp_path / f"d{index}", records) for index, fold in enumerate(paths)]
+        assert views[0] == views[1] == views[2]
+        assert views[0]["audit_total"] == sum(
+            record["event"] not in ("register", "unregister", "mutate") for record in records
+        )
+
+    def test_failed_absorption_still_advances_the_seq(self, tmp_path):
+        """A sibling record the fold rejects must not let this worker reuse
+        the seqs of the records after it."""
+        service = PrivateQueryService(
+            total_budget=10.0, state_dir=str(tmp_path), shared_state=True,
+            observability=False,
+        )
+        try:
+            records = self._records("bogus")
+            tail = {"seq": len(records) + 1, "ts": 0.0, "event": "deny", "session": None,
+                    "epsilon": 1.0}
+            self._write(tmp_path / "journal.jsonl", records + [tail])
+            with pytest.raises(ServiceError, match="unknown journal event"):
+                with service.store.exclusive():
+                    pass
+            assert service.store.describe()["last_seq"] == tail["seq"]
+        finally:
+            service.close(snapshot=False)
 
 
 class TestRecovery:
@@ -202,13 +350,12 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         for epsilon in (0.5, 0.25, 0.125):
             service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
-        store = StateStore(str(tmp_path), create=False)
-        state = store.recover()
-        view = state.sessions[sid].describe()
+        _, sessions, _ = replay_state(str(tmp_path))
+        view = sessions.get(sid).describe()
         live = service.budget(sid)
         assert view["spent"] == pytest.approx(live["spent"])
         assert view["charges"] == live["charges"]
-        assert state.audit_total == service.sessions.audit.total_recorded
+        assert sessions.audit.total_recorded == service.sessions.audit.total_recorded
 
     def test_missing_state_dir_rejected_without_create(self, tmp_path):
         with pytest.raises(ServiceError, match="does not exist"):
@@ -221,7 +368,7 @@ class TestRecovery:
         with pytest.raises(ServiceError, match="locked by another live process"):
             StateStore(str(tmp_path))
         # Read-only inspection is always allowed...
-        StateStore(str(tmp_path), create=False).recover()
+        replay_state(str(tmp_path))
         # ...and the lock dies with the owner.
         service.close(snapshot=False)
         StateStore(str(tmp_path)).close()
@@ -245,9 +392,9 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         service.count("toy", "R(x, y)", epsilon=3.0, session=sid)
 
-        state = StateStore(str(tmp_path), create=False).recover()
-        assert state.shared_spent == 0.0
-        assert state.shared_charges == 0
+        _, sessions, _ = replay_state(str(tmp_path))
+        assert sessions.shared.spent == 0.0
+        assert len(sessions.shared.charges) == 0
         # Restarting *with* a shared budget starts it untouched.
         service.close(snapshot=False)
         recovered = make_service(tmp_path, total_budget=4.0)

@@ -34,8 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import PrivacyError
-from repro.service.persistence import StateStore
-from repro.service.service import PrivateQueryService
+from repro.service.service import PrivateQueryService, replay_state
 
 THREADS = 8
 
@@ -342,8 +341,8 @@ def test_soak_kill_server_midbatch_and_replay(tmp_path):
             proc.wait(timeout=30)
 
     # Offline replay agrees with itself and never exceeds the budget.
-    state = StateStore(str(tmp_path), create=False).recover()
-    replayed = state.sessions["soak"].describe()
+    _, sessions, _ = replay_state(str(tmp_path))
+    replayed = sessions.get("soak").describe()
     assert replayed["spent"] >= sum(acknowledged) - 1e-9  # nothing acked is lost
     assert replayed["spent"] <= replayed["budget"] + 1e-9
 
