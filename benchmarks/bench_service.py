@@ -12,6 +12,7 @@ Run::
 
     pytest benchmarks/bench_service.py --benchmark-only   # micro-benchmarks
     pytest benchmarks/bench_service.py -k speedup         # the 2x assertion
+    pytest benchmarks/bench_service.py -k ledger          # the flat-ledger gate
 """
 
 from __future__ import annotations
@@ -150,6 +151,72 @@ def test_observability_overhead_speedup(graph_db):
         floor=5.0,
         higher_is_better=False,
     )
+
+
+#: Charges each aged ledger holds in the flat-ledger benchmark.
+AGED_CHARGES = 10_000
+
+
+def _ledger_service(graph_db, *, aged: bool):
+    """A warm service and session whose session and shared ledgers hold
+    ``AGED_CHARGES`` charges each (``aged``) or none.
+
+    The charges go in through the journal fold that recovery and cluster
+    absorption rebuild ledgers with, each under its own label (the most
+    distinct pairs a ledger can hold).
+    """
+    service = PrivateQueryService(
+        session_budget=1e9, total_budget=1e9, cache_capacity=64,
+        rng=derive_seed("service.noise"),
+    )
+    service.register_database("g", graph_db)
+    session = service.create_session().session_id
+    for i in range(AGED_CHARGES if aged else 0):
+        service.sessions.absorb(
+            {"event": "charge", "session": session, "epsilon": 2.0 ** -20, "label": f"aged-{i}"}
+        )
+    service.count("g", TRIANGLE, epsilon=0.5, session=session)  # warm the caches
+    return service, session
+
+
+def measure_aged_ledger_ratio(graph_db, *, pairs: int = 15, calls: int = 40) -> float:
+    """Warm session ``count`` cost on aged ledgers over its cost on empty ones.
+
+    Chunks alternate empty-aged-aged-empty and the estimate is the median
+    of the per-pair ratios (see ``measure_observability_overhead``).  Used
+    by ``test_aged_ledger_flat`` and ``scripts/bench_snapshot.py``.
+    """
+    sides = [_ledger_service(graph_db, aged=aged) for aged in (False, True)]
+
+    def chunk(side: int) -> float:
+        service, session = sides[side]
+        start = time.perf_counter()
+        for _ in range(calls):
+            service.count("g", TRIANGLE, epsilon=0.5, session=session)
+        return time.perf_counter() - start
+
+    ratios = []
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(pairs):
+            empty_1 = chunk(0)
+            aged = chunk(1) + chunk(1)
+            empty_2 = chunk(0)
+            ratios.append(aged / (empty_1 + empty_2))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return statistics.median(ratios)
+
+
+def test_aged_ledger_flat(graph_db):
+    """A request's cost must not grow with ledger history: warm ``count`` on
+    session and shared ledgers of 10⁴ charges stays within 1.5× of empty."""
+    ratio = measure_aged_ledger_ratio(graph_db)
+    print(f"\nwarm count, {AGED_CHARGES} charges vs empty ledgers: {ratio:.2f}x")
+    trend_gate("service", "aged_ledger_ratio", ratio, floor=1.5, higher_is_better=False)
 
 
 def test_warm_release_benchmark(benchmark, graph_db):

@@ -3,10 +3,11 @@
 
 This is the committed perf trajectory: each run re-executes the gated
 benchmark workloads — backend join speedup (``benchmarks/bench_backend.py``),
-serving-layer cache speedup, warm latency and instrumentation overhead
-(``benchmarks/bench_service.py``), and the shared-lattice profiler speedup
-(``benchmarks/bench_profile.py``) — and records the headline numbers in a
-small, diffable JSON document per area.  Workloads are reproduced
+serving-layer cache speedup, warm latency, instrumentation overhead and
+aged-ledger flatness (``benchmarks/bench_service.py``), and the
+shared-lattice profiler speedup (``benchmarks/bench_profile.py``) — and
+records the headline numbers in a small, diffable JSON document per area.
+Workloads are reproduced
 bit-for-bit from ``REPRO_BENCH_SEED`` (default 0) via the same
 ``derive_seed`` streams the pytest benchmarks use, so successive snapshots
 are comparable across commits; wall-clock numbers still move with the host,
@@ -85,7 +86,8 @@ def snapshot_backend() -> dict:
 
 
 def snapshot_service() -> dict:
-    """Serving layer: cache speedup, warm latency, instrumentation overhead."""
+    """Serving layer: cache speedup, warm latency, instrumentation overhead,
+    aged-ledger flatness."""
     import bench_service as bs
     from repro.graphs.generators import collaboration_graph
     from repro.graphs.loader import database_from_networkx
@@ -112,12 +114,14 @@ def snapshot_service() -> dict:
         samples.append((time.perf_counter() - start) / calls)
     warm_latency = min(samples)
     overhead = bs.measure_observability_overhead(graph_db)
+    aged_ratio = bs.measure_aged_ledger_ratio(graph_db)
     return {
         "workload": {
             "query": bs.TRIANGLE,
             "graph_nodes": 200,
             "graph_average_degree": 8.0,
             "repeats": bs.REPEATS,
+            "aged_ledger_charges": bs.AGED_CHARGES,
         },
         "results": {
             "uncached_seconds": round(uncached_time, 6),
@@ -125,6 +129,7 @@ def snapshot_service() -> dict:
             "cache_speedup": round(uncached_time / cached_time, 2),
             "warm_release_microseconds": round(warm_latency * 1e6, 2),
             "observability_overhead_percent": round(overhead * 100, 2),
+            "aged_ledger_ratio": round(aged_ratio, 2),
         },
     }
 

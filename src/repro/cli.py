@@ -915,7 +915,7 @@ def _run_state(args: argparse.Namespace) -> int:
         del view["closed"]
         views[session_id] = view
     shared_spent = sessions.shared.spent
-    shared_charges = len(sessions.shared.charges)
+    shared_charges = sessions.shared.charge_count
     databases = registry.recovered_metadata()
     if args.json:
         summary = {

@@ -8,8 +8,17 @@ exhausted.  It is intentionally conservative (pure ε-DP sequential
 composition, no advanced/Rényi accounting), matching the mechanisms in this
 library, which are all pure ε-DP.
 
+Sequential composition is a plain sum, so a ledger is not a list of charges
+but the exact total of its ε — a whole number of 2⁻¹⁰⁷⁴ units, which every
+finite float is — plus a count of the charges held per ``(ε, label)`` pair.
+Charges and refunds never round, ``spent`` is the correctly rounded float of
+the exact sum, every operation takes constant time, and a ledger's size
+grows with its distinct pairs, not its history.  Only this module knows the
+layout: the serving layer persists ledgers through
+:meth:`PrivacyAccountant.snapshot` and :meth:`PrivacyAccountant.restore`.
+
 The accountant is thread-safe: :meth:`PrivacyAccountant.charge` performs its
-affordability check and the ledger append atomically under an internal lock,
+affordability check and the ledger update atomically under an internal lock,
 so concurrent releases (e.g. from the batch executor of
 :mod:`repro.service`) can never jointly overspend the budget.
 """
@@ -18,23 +27,28 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import PrivacyError
 
-__all__ = ["PrivacyAccountant", "BudgetCharge"]
+__all__ = ["PrivacyAccountant"]
+
+#: Every finite float is a whole multiple of 2**-1074, the smallest subnormal.
+_UNIT = 1 << 1074
 
 
-@dataclass(frozen=True)
-class BudgetCharge:
-    """A single charge against the budget (for auditing)."""
-
-    epsilon: float
-    label: str
+def _units(epsilon: float) -> int:
+    """``epsilon`` as an exact whole number of 2**-1074 units."""
+    numerator, denominator = epsilon.as_integer_ratio()  # denominator is 2**k
+    return numerator << (1075 - denominator.bit_length())
 
 
-@dataclass
+def _validate_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon) or epsilon <= 0:
+        raise PrivacyError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 class PrivacyAccountant:
     """Tracks cumulative ε under sequential composition.
 
@@ -51,92 +65,88 @@ class PrivacyAccountant:
     1.5
     >>> accountant.can_afford(1.6)
     False
-    >>> accountant.reset()
+    >>> accountant.refund(0.5, label="q1")
     >>> accountant.remaining
     2.0
     """
 
-    total_budget: float
-    charges: list[BudgetCharge] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, total_budget: float):
         # NaN slips through a bare "<= 0" comparison and would silently deny
         # every later charge; reject non-finite budgets at construction.
-        if not math.isfinite(self.total_budget) or self.total_budget <= 0:
+        if not math.isfinite(total_budget) or total_budget <= 0:
             raise PrivacyError(
-                f"the total budget must be positive and finite, got {self.total_budget}"
+                f"the total budget must be positive and finite, got {total_budget}"
             )
-        # Not a dataclass field: the lock takes no part in equality/repr and
-        # must never be shared between two accountants.
+        self.total_budget = total_budget
+        #: Number of charges held per ``(epsilon, label)`` pair.
+        self.charges: Counter[tuple[float, str]] = Counter()
+        self._units = 0
+        self._count = 0
+        self._spent: float = 0
         self._lock = threading.RLock()
+
+    def _add(self, epsilon: float, label: str, n: int) -> None:
+        """Add ``n`` charges of ``(epsilon, label)`` (remove them if ``n < 0``)."""
+        held = self.charges[(epsilon, label)] + n
+        if held:
+            self.charges[(epsilon, label)] = held
+        else:
+            del self.charges[(epsilon, label)]
+        self._units += n * _units(epsilon)
+        self._count += n
+        # An empty ledger reads 0, the sum of no charges.
+        self._spent = self._units / _UNIT if self._units else 0
 
     @property
     def spent(self) -> float:
         """Total ε consumed so far."""
-        with self._lock:
-            return sum(charge.epsilon for charge in self.charges)
+        return self._spent
 
     @property
     def remaining(self) -> float:
         """Budget still available."""
         return self.total_budget - self.spent
 
+    @property
+    def charge_count(self) -> int:
+        """Number of charges held."""
+        return self._count
+
     def can_afford(self, epsilon: float) -> bool:
         """Whether a charge of ``epsilon`` fits in the remaining budget."""
-        if not math.isfinite(epsilon) or epsilon <= 0:
-            raise PrivacyError(f"epsilon must be positive and finite, got {epsilon}")
+        _validate_epsilon(epsilon)
         return epsilon <= self.remaining + 1e-12
 
-    def charge(self, epsilon: float, label: str = "") -> BudgetCharge:
+    def charge(self, epsilon: float, label: str = "") -> None:
         """Record a charge of ``epsilon``; raises if the budget is exceeded.
 
-        Check and append happen atomically, so concurrent callers cannot
-        jointly exceed the budget.  The returned record is the handle
-        :meth:`refund` takes back.
+        Check and update happen atomically, so concurrent callers cannot
+        jointly exceed the budget.
         """
         with self._lock:
             if not self.can_afford(epsilon):
                 raise PrivacyError(
                     f"privacy budget exhausted: requested {epsilon}, remaining {self.remaining}"
                 )
-            record = BudgetCharge(epsilon=epsilon, label=label)
-            self.charges.append(record)
-            return record
+            self._add(epsilon, label, 1)
 
-    def refund(self, record: BudgetCharge) -> None:
-        """Take back a specific charge (by identity), restoring its ε.
+    def refund(self, epsilon: float, label: str = "") -> None:
+        """Take back one charge of ``(epsilon, label)``, restoring its ε.
 
-        Only the transactional charge pipeline of the serving layer calls
-        this, to roll back a reservation whose release failed before any
-        noisy value was produced.  Refunding a record that is not in the
-        ledger raises :class:`PrivacyError`.
+        The serving layer calls this to roll back a reservation whose release
+        failed before any noisy value was produced, and to mirror such a
+        rollback journaled by a sibling worker.  Refunding a pair the ledger
+        does not hold raises :class:`PrivacyError`.
         """
         with self._lock:
-            for idx in range(len(self.charges) - 1, -1, -1):
-                if self.charges[idx] is record:
-                    del self.charges[idx]
-                    return
-        raise PrivacyError(f"cannot refund a charge that is not in the ledger: {record}")
+            if not self.charges[(epsilon, label)]:
+                raise PrivacyError(
+                    f"cannot refund a charge that is not in the ledger: {epsilon} {label!r}"
+                )
+            self._add(epsilon, label, -1)
 
-    def remove_charge(self, epsilon: float, label: str = "") -> bool:
-        """Remove the most recent charge matching ``(epsilon, label)`` by value.
-
-        The cross-process absorption path uses this to mirror a *rollback*
-        journaled by a sibling worker: the local ledger holds an equal-value
-        copy of the remote charge (installed via :meth:`restore_charge`), not
-        the remote object, so identity-based :meth:`refund` cannot find it.
-        Returns whether a matching charge was found.
-        """
-        with self._lock:
-            for idx in range(len(self.charges) - 1, -1, -1):
-                charge = self.charges[idx]
-                if charge.epsilon == epsilon and charge.label == label:
-                    del self.charges[idx]
-                    return True
-        return False
-
-    def restore_charge(self, epsilon: float, label: str = "") -> None:
-        """Re-apply a historically granted charge during journal replay.
+    def restore_charge(self, epsilon: float, label: str = "", n: int = 1) -> None:
+        """Re-apply ``n`` historically granted charges during recovery.
 
         Unlike :meth:`charge` this skips the affordability check: the charge
         was granted in a previous process lifetime and must be reflected in
@@ -144,21 +154,23 @@ class PrivacyAccountant:
         smaller budget (in which case the ledger simply reads as overspent
         and denies everything further — the conservative direction).
         """
-        if not math.isfinite(epsilon) or epsilon <= 0:
-            raise PrivacyError(f"epsilon must be positive and finite, got {epsilon}")
+        _validate_epsilon(epsilon)
+        if n < 1:
+            raise PrivacyError(f"a restored charge count must be positive, got {n}")
         with self._lock:
-            self.charges.append(BudgetCharge(epsilon=epsilon, label=label))
+            self._add(epsilon, label, n)
 
-    def reset(self) -> None:
-        """Forget all charges, restoring the full budget.
-
-        Only meaningful when the data the budget protected is discarded or
-        rotated (e.g. a serving session is torn down and its database
-        deregistered); resetting while continuing to answer queries about the
-        same data voids the privacy guarantee.
-        """
+    def snapshot(self) -> list[list]:
+        """The ledger as ``[epsilon, label, n]`` entries, one per distinct pair."""
         with self._lock:
-            self.charges.clear()
+            return [[epsilon, label, n] for (epsilon, label), n in self.charges.items()]
+
+    def restore(self, entries: Iterable[Sequence]) -> None:
+        """Re-apply entries written by :meth:`snapshot`; an entry without a
+        count (format-1 snapshots stored one ``[epsilon, label]`` per charge)
+        is one charge."""
+        for epsilon, label, *n in entries:
+            self.restore_charge(float(epsilon), label=str(label), n=int(n[0]) if n else 1)
 
     def run(self, epsilon: float, release: Callable[[], object], label: str = "") -> object:
         """Charge ``epsilon`` and, only if affordable, execute ``release()``.

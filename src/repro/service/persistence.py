@@ -38,8 +38,8 @@ serving layer acquires the store lock first (see ``SessionManager`` and
 
 What is (and is not) persisted
 ------------------------------
-Persisted: session ledgers (budgets, every charge), the shared deployment
-budget's spent total, audit-log totals and a bounded tail, and versioned
+Persisted: the session and shared ledgers (the charges held, counted per
+``(ε, label)`` pair), audit-log totals and a bounded tail, and versioned
 metadata of registered databases — including per-relation sizes and
 mutation **epochs**, kept current by ``mutate`` records (see
 ``docs/mutation.md``) — so re-registering after a restart resumes the
@@ -104,7 +104,9 @@ def exclusive_or_null(store: "StateStore | None"):
     """
     return contextlib.nullcontext() if store is None else store.exclusive()
 
-SNAPSHOT_FORMAT = 1
+#: Format 2 stores a ledger as ``[epsilon, label, n]`` entries, one per
+#: distinct pair; format 1 (one ``[epsilon, label]`` per charge) is still read.
+SNAPSHOT_FORMAT = 2
 
 #: Journal event types (the ``event`` field of every record).
 EVENTS = (
@@ -564,10 +566,10 @@ class StateStore:
             snapshot = json.loads(self._snapshot_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ServiceError(f"corrupt snapshot {self._snapshot_path}: {exc}") from None
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
+        if snapshot.get("format") not in (1, SNAPSHOT_FORMAT):
             raise ServiceError(
                 f"unsupported snapshot format {snapshot.get('format')!r} "
-                f"(this build reads format {SNAPSHOT_FORMAT})"
+                f"(this build reads formats 1 and {SNAPSHOT_FORMAT})"
             )
         if self.snapshot_loader is not None:
             self.snapshot_loader(snapshot)

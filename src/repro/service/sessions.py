@@ -31,11 +31,12 @@ import math
 import threading
 import time
 import uuid
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
-from repro.mechanisms.accountant import BudgetCharge, PrivacyAccountant
+from repro.mechanisms.accountant import PrivacyAccountant
 from repro.service.persistence import AUDIT_TAIL_LIMIT, exclusive_or_null
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -50,10 +51,10 @@ __all__ = [
 ]
 
 
-def _refund_all(reservations: list[tuple[PrivacyAccountant, BudgetCharge]]) -> None:
+def _refund_all(epsilon: float, reservations: list[tuple[PrivacyAccountant, str]]) -> None:
     """Refund a reservation list in reverse acquisition order."""
-    for accountant, record in reversed(reservations):
-        accountant.refund(record)
+    for accountant, label in reversed(reservations):
+        accountant.refund(epsilon, label=label)
 
 
 def _validate_epsilon(epsilon: object) -> None:
@@ -109,9 +110,8 @@ class AuditLog:
     def __init__(self, max_records: int = 10_000):
         if max_records <= 0:
             raise ServiceError(f"max_records must be positive, got {max_records}")
-        self._max_records = max_records
         self._lock = threading.RLock()
-        self._records: list[AuditRecord] = []
+        self._records: deque[AuditRecord] = deque(maxlen=max_records)
         self._seq = itertools.count()
         self._total = 0
 
@@ -144,14 +144,12 @@ class AuditLog:
             )
             self._records.append(record)
             self._total += 1
-            if len(self._records) > self._max_records:
-                del self._records[: len(self._records) - self._max_records]
         return record
 
     def tail(self, n: int = 50) -> list[AuditRecord]:
         """The most recent ``n`` records, oldest first."""
         with self._lock:
-            return self._records[-n:] if n > 0 else []
+            return list(itertools.islice(reversed(self._records), n))[::-1] if n > 0 else []
 
     def restore(self, tail: list[dict[str, Any]], total_recorded: int) -> None:
         """Reload the log from a snapshot (a bounded tail + the total).
@@ -163,11 +161,9 @@ class AuditLog:
         with self._lock:
             if self._total:
                 raise ServiceError("cannot restore an audit log that already has records")
-            kept = tail[-self._max_records:]
-            base = total_recorded - len(kept)
-            self._records = [
+            self._records.extend(
                 AuditRecord(
-                    seq=base + offset,
+                    seq=total_recorded - len(tail) + offset,
                     session_id=str(entry.get("session", "-")),
                     action=str(entry.get("action", "")),
                     epsilon=float(entry.get("epsilon", 0.0)),
@@ -176,8 +172,8 @@ class AuditLog:
                     detail=str(entry.get("detail", "")),
                     timestamp=float(entry.get("timestamp", 0.0)),
                 )
-                for offset, entry in enumerate(kept)
-            ]
+                for offset, entry in enumerate(tail)
+            )
             self._total = total_recorded
             self._seq = itertools.count(total_recorded)
 
@@ -193,25 +189,19 @@ class AuditLog:
 
 
 class Session:
-    """One client session: an id, a budget ledger and activity timestamps.
+    """One client session: an id, a budget ledger and its last activity time.
 
     Instances are created by :class:`SessionManager`; charge through the
     manager (or :meth:`SessionManager.charge`) rather than the raw ledger so
     the shared budget, the journal and the audit log stay consistent.
     """
 
-    def __init__(self, session_id: str, budget: float, created_at: float):
+    def __init__(self, session_id: str, budget: float, last_active: float):
         self.session_id = session_id
         self.ledger = PrivacyAccountant(total_budget=budget)
-        self.created_at = created_at
-        self.last_active = created_at
+        self.last_active = last_active
         self.closed = False
         self.lock = threading.RLock()
-
-    @property
-    def budget(self) -> float:
-        """The session's total ε budget."""
-        return self.ledger.total_budget
 
     def describe(self) -> dict[str, object]:
         """A JSON-serialisable budget view."""
@@ -221,7 +211,7 @@ class Session:
             "budget": self.ledger.total_budget,
             "spent": spent,
             "remaining": self.ledger.total_budget - spent,
-            "charges": len(self.ledger.charges),
+            "charges": self.ledger.charge_count,
             "closed": self.closed,
         }
 
@@ -244,7 +234,7 @@ class ChargeTransaction:
         epsilon: float,
         label: str,
         remaining: float | None,
-        reservations: list[tuple[PrivacyAccountant, BudgetCharge]],
+        reservations: list[tuple[PrivacyAccountant, str]],
         charge_seq: int | None = None,
     ):
         self._manager = manager
@@ -325,7 +315,9 @@ class SessionManager:
         self.journal = journal
         self._clock = clock
         self._lock = threading.RLock()
-        self._sessions: dict[str, Session] = {}
+        # Oldest activity first: begin_charge moves a session to the end, so
+        # expiry only ever looks at the front.
+        self._sessions: OrderedDict[str, Session] = OrderedDict()
         # Count of committed charge events (local + absorbed + recovered);
         # never decremented — see ChargeTransaction.charge_seq.
         self._charge_events = 0
@@ -354,12 +346,13 @@ class SessionManager:
             raise ServiceError(f"session budget must be positive and finite, got {budget}")
         session_id = session_id or uuid.uuid4().hex[:16]
         with self._exclusive():
-            session = Session(session_id, budget, created_at=self._clock())
+            session = Session(session_id, budget, last_active=self._clock())
 
             def install() -> None:
                 with self._lock:
                     if session.session_id in self._sessions:
                         raise ServiceError(f"session {session.session_id!r} already exists")
+                    session.last_active = self._clock()
                     self._sessions[session.session_id] = session
                 self.audit.append(
                     session.session_id, "create", epsilon=budget, detail="session created"
@@ -421,21 +414,21 @@ class SessionManager:
         now = self._clock()
         # Cheap pre-check before touching the (global) store lock: every
         # get() runs through here, and in the common nothing-is-stale case
-        # concurrent readers must not serialize on the journal.
+        # concurrent readers must not serialize on the journal.  Sessions
+        # are kept oldest-activity first, so only the front can be stale.
         with self._lock:
-            if not any(
-                now - session.last_active > self.ttl
-                for session in self._sessions.values()
-            ):
+            oldest = next(iter(self._sessions.values()), None)
+            if oldest is None or now - oldest.last_active <= self.ttl:
                 return []
         expired: list[str] = []
         with self._exclusive():
             with self._lock:
-                stale = [
-                    (session_id, session)
-                    for session_id, session in self._sessions.items()
-                    if now - session.last_active > self.ttl
-                ]
+                stale = list(
+                    itertools.takewhile(
+                        lambda item: now - item[1].last_active > self.ttl,
+                        self._sessions.items(),
+                    )
+                )
             for session_id, session in stale:
 
                 def remove(session_id: str = session_id) -> None:
@@ -485,7 +478,7 @@ class SessionManager:
             with self._lock:
                 if session_id not in self._sessions:
                     self._sessions[session_id] = Session(
-                        session_id, budget, created_at=self._clock()
+                        session_id, budget, last_active=self._clock()
                     )
             self.audit.append(
                 audit_id, "create", epsilon=budget, detail="session created",
@@ -519,7 +512,12 @@ class SessionManager:
                 if charge:
                     ledger.restore_charge(epsilon, label=ledger_label)
                 else:
-                    ledger.remove_charge(epsilon, label=ledger_label)
+                    # A rollback takes back ε only if this ledger holds its
+                    # charge; otherwise it changes nothing.
+                    try:
+                        ledger.refund(epsilon, label=ledger_label)
+                    except PrivacyError:
+                        pass
             self.audit.append(
                 audit_id, event, epsilon=epsilon, label=label, ok=charge,
                 detail=record.get("detail", ""), timestamp=timestamp,
@@ -552,7 +550,6 @@ class SessionManager:
         requests *before* paying for sensitivity computation.  Denials are
         journaled and audited.
         """
-        audit_id = session_id if session_id is not None else "-"
         try:
             _validate_epsilon(epsilon)
             if session_id is not None:
@@ -568,18 +565,23 @@ class SessionManager:
                     f"remaining {self.shared.remaining}"
                 )
         except PrivacyError as exc:
-            safe_epsilon = _journal_safe(epsilon)
-            self._record(
-                "deny",
-                apply=lambda: self.audit.append(
-                    audit_id, "deny", epsilon=safe_epsilon, ok=False, detail=str(exc)
-                ),
-                session=session_id,
-                epsilon=safe_epsilon,
-                label="",
-                detail=str(exc),
-            )
+            self._deny(session_id, epsilon, "", exc)
             raise
+
+    def _deny(self, session_id: str | None, epsilon: object, label: str, exc: Exception) -> None:
+        """Journal and audit a denied charge."""
+        safe_epsilon = _journal_safe(epsilon)
+        self._record(
+            "deny",
+            apply=lambda: self.audit.append(
+                session_id if session_id is not None else "-", "deny",
+                epsilon=safe_epsilon, label=label, ok=False, detail=str(exc),
+            ),
+            session=session_id,
+            epsilon=safe_epsilon,
+            label=label,
+            detail=str(exc),
+        )
 
     def begin_charge(
         self, session_id: str | None, epsilon: float, label: str = ""
@@ -598,7 +600,6 @@ class SessionManager:
         ledger-less access — the CLI one-shot path).  Denials are journaled,
         audited and re-raised as :class:`PrivacyError`.
         """
-        audit_id = session_id if session_id is not None else "-"
         try:
             # Validate up front: with neither a session ledger nor a shared
             # accountant no can_afford() would ever run, and a NaN/inf must
@@ -628,21 +629,13 @@ class SessionManager:
                         reservations, charge_seq = self._reserve_and_journal(
                             session, epsilon, label
                         )
-                        session.last_active = self._clock()
+                        with self._lock:
+                            session.last_active = self._clock()
+                            if self._sessions.get(session_id) is session:
+                                self._sessions.move_to_end(session_id)
                         remaining = session.ledger.remaining
         except PrivacyError as exc:
-            safe_epsilon = _journal_safe(epsilon)
-            self._record(
-                "deny",
-                apply=lambda: self.audit.append(
-                    audit_id, "deny", epsilon=safe_epsilon, label=label, ok=False,
-                    detail=str(exc),
-                ),
-                session=session_id,
-                epsilon=safe_epsilon,
-                label=label,
-                detail=str(exc),
-            )
+            self._deny(session_id, epsilon, label, exc)
             raise
         return ChargeTransaction(
             self, session_id, epsilon, label, remaining, reservations, charge_seq
@@ -650,7 +643,7 @@ class SessionManager:
 
     def _reserve_and_journal(
         self, session: Session | None, epsilon: float, label: str
-    ) -> tuple[list[tuple[PrivacyAccountant, BudgetCharge]], int]:
+    ) -> tuple[list[tuple[PrivacyAccountant, str]], int]:
         """Reserve ε on the shared (and session) ledgers, then journal it.
 
         The single definition both ``begin_charge`` branches share: any
@@ -662,20 +655,18 @@ class SessionManager:
         """
         session_id = session.session_id if session is not None else None
         audit_id = session_id if session_id is not None else "-"
-        reservations: list[tuple[PrivacyAccountant, BudgetCharge]] = []
+        reservations: list[tuple[PrivacyAccountant, str]] = []
         # Mutable box: the ordinal is allocated inside the *applied* effect,
         # so a failed journal append never consumes a noise ordinal.
         seq_box: list[int] = []
         try:
             if self.shared is not None:
                 shared_label = label if session is None else f"{session_id}:{label}"
-                reservations.append(
-                    (self.shared, self.shared.charge(epsilon, label=shared_label))
-                )
+                self.shared.charge(epsilon, label=shared_label)
+                reservations.append((self.shared, shared_label))
             if session is not None:
-                reservations.append(
-                    (session.ledger, session.ledger.charge(epsilon, label=label))
-                )
+                session.ledger.charge(epsilon, label=label)
+                reservations.append((session.ledger, label))
 
             def applied() -> None:
                 self.audit.append(audit_id, "charge", epsilon=epsilon, label=label)
@@ -691,7 +682,7 @@ class SessionManager:
                 shared=self.shared is not None,
             )
         except BaseException:
-            _refund_all(reservations)
+            _refund_all(epsilon, reservations)
             raise
         return reservations, seq_box[0]
 
@@ -703,7 +694,7 @@ class SessionManager:
         """Refund a reserved charge and journal the refusal (see ``rollback``)."""
 
         def undo() -> None:
-            _refund_all(txn._reservations)
+            _refund_all(txn.epsilon, txn._reservations)
             self.audit.append(
                 txn.session_id if txn.session_id is not None else "-",
                 "rollback",
@@ -745,9 +736,7 @@ class SessionManager:
                 {
                     "session": session.session_id,
                     "budget": session.ledger.total_budget,
-                    "charges": [
-                        [charge.epsilon, charge.label] for charge in session.ledger.charges
-                    ],
+                    "charges": session.ledger.snapshot(),
                 }
                 for session in sessions
             ],
@@ -756,9 +745,7 @@ class SessionManager:
                 if self.shared is None
                 else {
                     "spent": self.shared.spent,
-                    "charges": [
-                        [charge.epsilon, charge.label] for charge in self.shared.charges
-                    ],
+                    "charges": self.shared.snapshot(),
                 }
             ),
             "audit": {
@@ -783,14 +770,12 @@ class SessionManager:
                 session_id = entry["session"]
                 if session_id in self._sessions:
                     raise ServiceError(f"cannot load session {session_id!r}: already live")
-                session = Session(session_id, float(entry["budget"]), created_at=self._clock())
-                for epsilon, label in entry.get("charges", []):
-                    session.ledger.restore_charge(float(epsilon), label=str(label))
+                session = Session(session_id, float(entry["budget"]), last_active=self._clock())
+                session.ledger.restore(entry.get("charges", []))
                 self._sessions[session_id] = session
             self._charge_events = max(self._charge_events, int(body.get("charge_events", 0)))
         if self.shared is not None:
-            for epsilon, label in (body.get("shared") or {}).get("charges", []):
-                self.shared.restore_charge(float(epsilon), label=str(label))
+            self.shared.restore((body.get("shared") or {}).get("charges", []))
         audit = body.get("audit") or {}
         if audit.get("total_recorded"):
             self.audit.restore(list(audit.get("tail", [])), int(audit["total_recorded"]))

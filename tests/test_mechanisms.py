@@ -148,7 +148,7 @@ class TestPrivacyAccountant:
         accountant.charge(0.25, label="q2")
         assert accountant.spent == pytest.approx(0.5)
         assert accountant.remaining == pytest.approx(0.5)
-        assert len(accountant.charges) == 2
+        assert accountant.charge_count == 2
 
     def test_budget_exhaustion(self):
         accountant = PrivacyAccountant(total_budget=0.3)
@@ -173,14 +173,6 @@ class TestPrivacyAccountant:
     def test_invalid_budget(self):
         with pytest.raises(PrivacyError):
             PrivacyAccountant(total_budget=0.0)
-
-    def test_reset_restores_full_budget(self):
-        accountant = PrivacyAccountant(total_budget=1.0)
-        accountant.charge(0.75, label="q1")
-        accountant.reset()
-        assert accountant.spent == 0.0
-        assert accountant.remaining == pytest.approx(1.0)
-        accountant.charge(1.0)  # affordable again
 
     def test_concurrent_charges_never_overspend(self):
         import threading
@@ -207,4 +199,4 @@ class TestPrivacyAccountant:
         # interleaving of the 8 threads.
         assert len(granted) == 20
         assert accountant.spent == pytest.approx(1.0)
-        assert len(accountant.charges) == 20
+        assert accountant.charge_count == 20

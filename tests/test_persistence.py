@@ -317,7 +317,7 @@ class TestRecovery:
         service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
         service.close()
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
-        assert snapshot["format"] == 1
+        assert snapshot["format"] == 2
         assert (tmp_path / "journal.jsonl").read_text() == ""
         recovered = make_service(tmp_path)
         assert recovered.budget(sid)["spent"] == pytest.approx(0.5)
@@ -378,11 +378,11 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         for _ in range(3):
             service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
-        assert len(service.sessions.shared.charges) == 3
+        assert service.sessions.shared.charge_count == 3
         service.close()  # with a final snapshot: shared charges round-trip
 
         recovered = make_service(tmp_path)
-        assert len(recovered.sessions.shared.charges) == 3
+        assert recovered.sessions.shared.charge_count == 3
         assert recovered.sessions.shared.spent == pytest.approx(1.5)
 
     def test_no_shared_budget_means_no_phantom_shared_spend(self, tmp_path, make_service):
@@ -394,7 +394,7 @@ class TestRecovery:
 
         _, sessions, _ = replay_state(str(tmp_path))
         assert sessions.shared.spent == 0.0
-        assert len(sessions.shared.charges) == 0
+        assert sessions.shared.charge_count == 0
         # Restarting *with* a shared budget starts it untouched.
         service.close(snapshot=False)
         recovered = make_service(tmp_path, total_budget=4.0)
@@ -521,11 +521,11 @@ class TestTransactionalCharge:
 class TestAccountantRefund:
     def test_refund_restores_budget(self):
         accountant = PrivacyAccountant(total_budget=1.0)
-        record = accountant.charge(0.4, label="q")
-        accountant.refund(record)
+        accountant.charge(0.4, label="q")
+        accountant.refund(0.4, label="q")
         assert accountant.spent == 0.0
         with pytest.raises(PrivacyError):
-            accountant.refund(record)  # already refunded
+            accountant.refund(0.4, label="q")  # already refunded
 
     def test_non_finite_budget_rejected(self):
         for bad in (float("nan"), float("inf")):
@@ -537,6 +537,98 @@ class TestAccountantRefund:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrivacyError):
                 accountant.charge(bad)
+
+
+class TestLedgerLayout:
+    """A ledger is an exact total plus a count per ``(epsilon, label)``."""
+
+    def test_many_equal_charges_snapshot_to_one_entry(self):
+        shared = PrivacyAccountant(total_budget=10.0)
+        manager = SessionManager(default_budget=1.0, shared=shared)
+        sid = manager.create().session_id
+        for _ in range(10_000):
+            manager.charge(sid, 2.0 ** -14, label="q")
+        body = manager.snapshot_state()
+        assert body["sessions"][0]["charges"] == [[2.0 ** -14, "q", 10_000]]
+        assert body["shared"]["charges"] == [[2.0 ** -14, f"{sid}:q", 10_000]]
+
+        recovered = SessionManager(default_budget=1.0, shared=PrivacyAccountant(10.0))
+        recovered.load_snapshot(json.loads(json.dumps(body)))
+        assert recovered.describe(sid) == manager.describe(sid)
+        assert recovered.describe(sid)["charges"] == 10_000
+
+    def test_spent_is_the_exact_sum_through_refunds_and_rollbacks(self):
+        import random
+        from fractions import Fraction
+
+        shared = PrivacyAccountant(total_budget=1e6)
+        manager = SessionManager(default_budget=1e6, shared=shared)
+        sid = manager.create().session_id
+        session = manager.get(sid)
+        rng = random.Random(7)
+        held: list[tuple[float, str]] = []
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.6 or not held:
+                epsilon, label = rng.choice((0.1, 1 / 3, 0.7)), rng.choice("ab")
+                if rng.random() < 0.5:
+                    manager.charge(sid, epsilon, label=label)
+                else:  # a charge journaled by a sibling worker
+                    manager.absorb({"event": "charge", "session": sid,
+                                    "epsilon": epsilon, "label": label})
+                held.append((epsilon, label))
+            else:
+                epsilon, label = held.pop(rng.randrange(len(held)))
+                if roll < 0.8:  # a failed release refunds its reservations
+                    session.ledger.refund(epsilon, label=label)
+                    shared.refund(epsilon, label=f"{sid}:{label}")
+                else:  # a rollback journaled by a sibling worker
+                    manager.absorb({"event": "rollback", "session": sid,
+                                    "epsilon": epsilon, "label": label})
+            exact = float(sum((Fraction(e) for e, _ in held), Fraction(0)))
+            assert session.ledger.spent == exact
+            assert shared.spent == exact
+        assert session.ledger.charge_count == shared.charge_count == len(held)
+
+    def test_format_1_snapshot_recovers_the_same_budget_views(self, tmp_path, make_service):
+        service = make_service(tmp_path)
+        sids = [service.create_session(budget=5.0).session_id for _ in range(2)]
+        for epsilon in (0.5, 0.25, 0.5, 0.1):
+            for sid in sids:
+                service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
+        views = {sid: service.budget(sid) for sid in sids}
+        service.close()
+
+        # Rewrite the snapshot as format 1: one [epsilon, label] per charge.
+        path = tmp_path / "snapshot.json"
+        snapshot = json.loads(path.read_text())
+        assert snapshot["format"] == 2
+
+        def per_charge(entries):
+            return [[e, label] for e, label, n in entries for _ in range(n)]
+
+        for entry in snapshot["sessions"]:
+            entry["charges"] = per_charge(entry["charges"])
+        snapshot["shared"]["charges"] = per_charge(snapshot["shared"]["charges"])
+        snapshot["format"] = 1
+        path.write_text(json.dumps(snapshot))
+
+        recovered = make_service(tmp_path)
+        assert {sid: recovered.budget(sid) for sid in sids} == views
+        assert views[sids[0]]["charges"] == 4
+
+    def test_absorbed_rollback_of_an_unheld_pair_changes_nothing(self):
+        shared = PrivacyAccountant(total_budget=10.0)
+        manager = SessionManager(default_budget=2.0, shared=shared)
+        sid = manager.create().session_id
+        manager.charge(sid, 0.5, label="q")
+        before = (manager.describe(sid), shared.snapshot(), shared.spent)
+        for epsilon, label in ((0.25, "q"), (0.5, "other")):
+            manager.absorb({"event": "rollback", "session": sid,
+                            "epsilon": epsilon, "label": label})
+        assert (manager.describe(sid), shared.snapshot(), shared.spent) == before
+        with pytest.raises(PrivacyError):
+            shared.refund(0.25, label=f"{sid}:q")
 
 
 class TestAuditRestore:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -234,6 +235,36 @@ class TestSessions:
         with pytest.raises(ServiceError):
             manager.get(session.session_id)
         assert manager.audit.tail(1)[0].action == "expire"
+
+    def test_touched_older_session_outlives_untouched_newer_one(self):
+        now = [0.0]
+        manager = SessionManager(default_budget=1.0, ttl=10.0, clock=lambda: now[0])
+        older = manager.create().session_id
+        now[0] = 1.0
+        newer = manager.create().session_id
+        now[0] = 5.0
+        manager.charge(older, 0.1)  # touches the older session
+        now[0] = 11.5  # newer idle 10.5 s, older idle 6.5 s
+        assert manager.expire_idle() == [newer]
+        assert manager.active_ids() == [older]
+        now[0] = 15.5
+        assert manager.expire_idle() == [older]
+
+    def test_lookup_cost_does_not_grow_with_live_sessions(self):
+        def per_get(live: int) -> float:
+            manager = SessionManager(default_budget=1.0, ttl=3600.0)
+            ids = [manager.create().session_id for _ in range(live)]
+            target = ids[live // 2]
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(500):
+                    manager.get(target)
+                best = min(best, time.perf_counter() - start)
+            return best / 500
+
+        few, many = per_get(10), per_get(10_000)
+        assert many <= 5 * few, f"get(): {few * 1e6:.1f} us at 10, {many * 1e6:.1f} us at 10^4"
 
     def test_shared_budget_is_enforced(self):
         from repro.mechanisms.accountant import PrivacyAccountant
